@@ -53,9 +53,10 @@ class CylinderMeasureEstimate:
 class BlockDag:
     """Recursive view of the building blocks of one construction.
 
-    Immutable after creation; every query is pure, so concurrent use needs no
-    coordination.  `cap` bounds explicit materialization, `memo_limit` bounds
-    the per-stage strings kept for fast range extraction."""
+    Queries are deterministic but not pure: they fill caches of per-stage
+    child offsets, the blocks up to `memo_limit` symbols, one larger block (up
+    to `cap`), and per-word occurrence counts and block edges; the last two
+    grow without bound with the number of distinct words queried."""
 
     def __init__(self, params: ConstructionParams, cap=DEFAULT_CAP, memo_limit=1 << 17):
         self.params = params
@@ -76,6 +77,10 @@ class BlockDag:
         if not 1 <= n <= self.max_stage:
             raise RangeError(f"stage {n} outside 1..{self.max_stage}")
         return self._seq.h(n)
+
+    def deepest_materializable(self):
+        """The deepest stage whose block fits under the cap, or None."""
+        return next((n for n in range(self.max_stage, 0, -1) if self.height(n) <= self.cap), None)
 
     # -- layout ---------------------------------------------------------
 

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from . import __version__
 from .blocks import BlockDag, cylinder_words
-from .construction import heights, load_construction
+from .construction import heights, load_construction, read_config
 from .correlations import (
     correlation,
     verify_half_spacer_mixing,
@@ -39,7 +39,6 @@ from .limits import (
 from .odometer import cocycle_distribution
 from .sarnak import (
     EigenObservable,
-    FloorCylinderObservable,
     OrbitSpec,
     cylinder_sarnak_averages,
     floor_means,
@@ -51,6 +50,8 @@ from .sarnak import (
 )
 
 ENV_OUT = "RANKONE_OUT"
+REPORT_HEADER = ["family", "stage", "j_or_alpha", "lag", "W1", "W2", "observed", "predicted",
+                 "abs_error", "ci", "method", "seed"]
 
 
 def _rat(x):
@@ -73,19 +74,17 @@ def _parse_fraction(text):
 
 def _parse_pairs(text):
     """Power pairs: "1..5" for all pairs up to 5, or "1:2,2:3"."""
-    if ".." in text:
-        lo, hi = text.split("..")
-        lo, hi = int(lo), int(hi)
-        return [(a, b) for a in range(lo, hi + 1) for b in range(a + 1, hi + 1)]
-    pairs = []
-    for item in text.split(","):
-        a, _, b = item.partition(":")
-        pairs.append((int(a), int(b)))
-    return pairs
-
-
-def _parse_words(text):
-    return [w for w in text.split(",") if w]
+    try:
+        if ".." in text:
+            lo, hi = map(int, text.split(".."))
+            return [(a, b) for a in range(lo, hi + 1) for b in range(a + 1, hi + 1)]
+        pairs = []
+        for item in text.split(","):
+            a, _, b = item.partition(":")
+            pairs.append((int(a), int(b)))
+        return pairs
+    except ValueError as exc:
+        raise InputError(f"power pairs must read like 1..5 or 1:2,2:3, not {text!r}") from exc
 
 
 def _parse_word_pairs(text):
@@ -124,12 +123,7 @@ class Run:
         return path
 
     def write_json(self, name, doc):
-        path = self.path(name)
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, sort_keys=True, indent=2)
-            fh.write("\n")
-        self.outputs.append(name)
-        return path
+        return self.write_text(name, json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
     def write_text(self, name, text):
         path = self.path(name)
@@ -170,12 +164,22 @@ def _load(run):
     return params
 
 
+def _load_dag(run):
+    """BlockDag of the construction under --cap.  A missing --stage defaults
+    to the deepest block that fits under the cap."""
+    dag = BlockDag(_load(run), cap=run.args.cap)
+    if getattr(run.args, "stage", 1) is None:
+        run.args.stage = dag.deepest_materializable()
+        if run.args.stage is None:
+            raise Refusal("no stage fits under the materialization cap")
+    return dag
+
+
 def _load_profile(run, depth_needed):
     """Profile from a profile JSON, or auto-derived from the construction."""
     text = str(run.args.config)
     if text.endswith(".json") and os.path.exists(text):
-        with open(text, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        doc = read_config(text)
         if "profile" in doc:
             p = doc["profile"]
             run.config_doc = doc
@@ -215,15 +219,15 @@ def cmd_heights(run):
 
 
 def cmd_blocks(run):
-    params = _load(run)
-    dag = BlockDag(params, cap=run.args.cap)
-    stage = run.args.stage
-    if run.args.start or run.args.length:
-        start = run.args.start or 1
-        length = run.args.length or (dag.height(stage) - start + 1)
-        word = dag.extract(stage, start, length)
-    else:
+    dag = _load_dag(run)
+    stage, start, length = run.args.stage, run.args.start, run.args.length
+    if start is None and length is None:
         word = dag.materialize(stage)
+    else:
+        start = 1 if start is None else start
+        if length is None:
+            length = dag.height(stage) - start + 1
+        word = dag.extract(stage, start, length)
     run.write_text(f"block_{stage}.txt", word + "\n")
     if len(word) <= 256:
         print(word)
@@ -233,11 +237,10 @@ def cmd_blocks(run):
 
 
 def cmd_freq(run):
-    params = _load(run)
-    dag = BlockDag(params, cap=run.args.cap)
+    dag = _load_dag(run)
     stage = run.args.stage
     if run.args.words:
-        words = _parse_words(run.args.words)
+        words = [w for w in run.args.words.split(",") if w]
     else:
         words = cylinder_words(2 ** (run.args.maxlen + 1) - 2)
     rows = []
@@ -335,8 +338,7 @@ def cmd_eigen(run):
 
 
 def cmd_correlate(run):
-    params = _load(run)
-    dag = BlockDag(params, cap=run.args.cap)
+    dag = _load_dag(run)
     est = correlation(
         dag,
         run.args.w1,
@@ -370,10 +372,10 @@ def cmd_correlate(run):
 
 
 def _write_report(run, name, rows):
-    out = []
-    for row in rows:
-        exact = row.method == "EXACT_SCAN"
-        out.append(
+    run.write_csv(
+        name,
+        REPORT_HEADER,
+        [
             (
                 row.family,
                 row.stage,
@@ -381,31 +383,15 @@ def _write_report(run, name, rows):
                 row.lag,
                 row.w1,
                 row.w2,
-                _rat(row.observed) if exact else _float17(row.observed),
-                _rat(row.predicted) if exact else _rat(row.predicted),
+                _rat(row.observed) if row.method == "EXACT_SCAN" else _float17(row.observed),
+                _rat(row.predicted),
                 _float17(row.abs_error),
                 _float17(row.ci) if row.ci is not None else "",
                 row.method,
                 row.seed if row.seed is not None else "",
             )
-        )
-    run.write_csv(
-        name,
-        [
-            "family",
-            "stage",
-            "j_or_alpha",
-            "lag",
-            "W1",
-            "W2",
-            "observed",
-            "predicted",
-            "abs_error",
-            "ci",
-            "method",
-            "seed",
+            for row in rows
         ],
-        out,
     )
     for row in rows:
         print(
@@ -430,12 +416,16 @@ def cmd_verify_pj(run):
 
 def cmd_rigid_chacon(run):
     params = _load(run)
+    try:
+        powers = tuple(int(j) for j in run.args.powers.split(","))
+    except ValueError as exc:
+        raise InputError(f"powers must be comma-separated integers: {run.args.powers!r}") from exc
     rows = verify_rigid_one_spacer(
         params,
         _parse_fraction(run.args.alpha),
         run.args.n,
         _parse_word_pairs(run.args.cylinders),
-        powers=tuple(int(j) for j in run.args.powers.split(",")),
+        powers=powers,
         scan_stage=run.args.scan_stage,
     )
     _write_report(run, "rigid_chacon.csv", rows)
@@ -476,37 +466,46 @@ def _parse_observable(text):
             raise InputError("observable cyl:<word over 0/1>")
         return ("cyl", rest)
     if kind == "eigen":
-        return ("eigen", int(rest or "1"))
+        try:
+            return ("eigen", int(rest or "1"))
+        except ValueError as exc:
+            raise InputError("observable eigen:<integer power>") from exc
     raise InputError(f"unknown observable {text!r} (use cyl:<word> or eigen:<j>)")
 
 
+def _cylinder_averages(dag, spec, cylinder, center, horizon):
+    """Mobius averages of a centered cylinder along the orbit of `spec`; a
+    per-floor `center` list makes it the K-floor suspension orbit."""
+    word = orbit_word(dag, spec, (spec.start_floor + horizon) // spec.floors + len(cylinder) + 1)
+    return cylinder_sarnak_averages(
+        word, cylinder, center, mobius_sieve(horizon), horizon, start_floor=spec.start_floor
+    )
+
+
+def _write_averages(run, name, rows, fmt=_rat):
+    run.write_csv(name, ["N_prime", "partial_average"], [(n, fmt(v)) for n, v in rows])
+
+
 def cmd_sarnak(run):
-    params = _load(run)
-    dag = BlockDag(params, cap=run.args.cap)
+    dag = _load_dag(run)
     kind, payload = _parse_observable(run.args.observable)
     if kind != "cyl":
         raise InputError("sarnak expects a cylinder observable; use suspend for eigen")
-    horizon = run.args.N
     spec = _orbit_spec(run.args)
-    word = orbit_word(dag, spec, horizon + len(payload) + 1)
     if run.args.center_value is not None:
         center = _parse_fraction(run.args.center_value)
     elif run.args.center:
         center = dag.frequency(payload, spec.stage).frequency
     else:
         center = Fraction(0)
-    mu = mobius_sieve(horizon)
-    rows = cylinder_sarnak_averages(word, payload, center, mu, horizon)
-    run.write_csv(
-        "sarnak.csv", ["N_prime", "partial_average"], [(n, _rat(v)) for n, v in rows]
-    )
+    rows = _cylinder_averages(dag, spec, payload, center, run.args.N)
+    _write_averages(run, "sarnak.csv", rows)
     print(f"final |average| at N={rows[-1][0]}: {float(abs(rows[-1][1])):.3e}")
     return 0
 
 
 def cmd_primepair(run):
-    params = _load(run)
-    dag = BlockDag(params, cap=run.args.cap)
+    dag = _load_dag(run)
     kind, payload = _parse_observable(run.args.observable)
     if kind != "cyl":
         raise InputError("prime-pair correlations need a cylinder observable")
@@ -519,33 +518,26 @@ def cmd_primepair(run):
     else:
         center = dag.frequency(payload, spec.stage).frequency
     rows = prime_power_averages(word, payload, center, p, q, horizon)
-    run.write_csv(
-        "primepair.csv", ["N_prime", "partial_average"], [(n, _rat(v)) for n, v in rows]
-    )
+    _write_averages(run, "primepair.csv", rows)
     print(f"final average at N={rows[-1][0]}: {float(rows[-1][1]):.3e}")
     return 0
 
 
 def cmd_suspend(run):
-    params = _load(run)
-    dag = BlockDag(params, cap=run.args.cap)
+    dag = _load_dag(run)
     kind, payload = _parse_observable(run.args.observable)
     spec = _orbit_spec(run.args, floors=run.args.K)
     horizon = run.args.N
-    mu = mobius_sieve(horizon)
     if kind == "eigen":
-        observable = EigenObservable(run.args.K, payload)
-        values = suspension_values(dag, spec, observable, horizon)
+        mu = mobius_sieve(horizon)
+        values = suspension_values(dag, spec, EigenObservable(run.args.K, payload), horizon)
         rows = partial_averages(values, mu, horizon)
-        table = [(n, f"{v.real:.17g}{v.imag:+.17g}i") for n, v in rows]
+        _write_averages(run, "suspend.csv", rows, lambda z: f"{z.real:.17g}{z.imag:+.17g}i")
     else:
         centers = floor_means(dag, spec.stage, payload, run.args.K)
-        observable = FloorCylinderObservable(payload, centers)
-        values = suspension_values(dag, spec, observable, horizon)
-        rows = partial_averages(values, mu, horizon)
-        table = [(n, _rat(v)) for n, v in rows]
-    run.write_csv("suspend.csv", ["N_prime", "partial_average"], table)
-    print(f"final |average| at N={rows[-1][0]}: {abs(rows[-1][1]):.3e}")
+        rows = _cylinder_averages(dag, spec, payload, centers, horizon)
+        _write_averages(run, "suspend.csv", rows)
+    print(f"final |average| at N={rows[-1][0]}: {float(abs(rows[-1][1])):.3e}")
     return 0
 
 
@@ -563,7 +555,7 @@ def build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seed=False):
+    def common(p, seed=False, orbit=False):
         p.add_argument(
             "--config",
             required=True,
@@ -575,6 +567,10 @@ def build_parser():
         p.add_argument("--cap", type=int, default=10_000_000, help="materialization cap")
         if seed:
             p.add_argument("--seed", type=int, default=0)
+        if orbit:
+            p.add_argument("--N", type=int, required=True, help="horizon")
+            p.add_argument("--stage", type=int, default=None)
+            p.add_argument("--offset", type=int, default=1)
         return p
 
     p = common(sub.add_parser("heights", help="tower heights and widths"))
@@ -660,48 +656,31 @@ def build_parser():
     p.add_argument("--scan-stage", type=int)
     p.set_defaults(func=cmd_katok)
 
-    p = common(sub.add_parser("sarnak", help="Mobius partial averages along an orbit"), seed=True)
+    p = sub.add_parser("sarnak", help="Mobius partial averages along an orbit")
+    common(p, seed=True, orbit=True)
     p.add_argument("--observable", required=True, help="cyl:<word>")
     p.add_argument("--center", action="store_true", help="center by the block frequency")
     p.add_argument("--center-value", help="explicit rational centering constant")
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--stage", type=int, default=None)
-    p.add_argument("--offset", type=int, default=1)
     p.add_argument("--splice-suffix", type=int, default=0)
     p.add_argument("--splice-ones", type=int, default=0)
     p.set_defaults(func=cmd_sarnak)
 
-    p = common(sub.add_parser("primepair", help="prime-pair correlation averages"), seed=True)
+    p = sub.add_parser("primepair", help="prime-pair correlation averages")
+    common(p, seed=True, orbit=True)
     p.add_argument("--observable", required=True)
     p.add_argument("--center-value")
     p.add_argument("-p", type=int, required=True)
     p.add_argument("-q", type=int, required=True)
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--stage", type=int, default=None)
-    p.add_argument("--offset", type=int, default=1)
     p.set_defaults(func=cmd_primepair)
 
-    p = common(sub.add_parser("suspend", help="K-floor suspension orbit averages"), seed=True)
+    p = sub.add_parser("suspend", help="K-floor suspension orbit averages")
+    common(p, seed=True, orbit=True)
     p.add_argument("--K", type=int, required=True)
     p.add_argument("--i0", dest="start_floor", type=int, default=0)
     p.add_argument("--observable", required=True, help="eigen:<j> or cyl:<word>")
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--stage", type=int, default=None)
-    p.add_argument("--offset", type=int, default=1)
     p.set_defaults(func=cmd_suspend)
 
     return parser
-
-
-def _default_stage(args):
-    """Deep orbit stage default: the deepest materializable block."""
-    params = load_construction(args.config)
-    dag = BlockDag(params, cap=args.cap)
-    for n in range(dag.max_stage, 0, -1):
-        if dag.height(n) <= args.cap:
-            args.stage = n
-            return
-    raise Refusal("no stage fits under the materialization cap")
 
 
 def run_argv(argv, outdir=None):
@@ -710,8 +689,6 @@ def run_argv(argv, outdir=None):
     args = parser.parse_args(argv)
     if outdir is not None:
         args.out = outdir
-    if getattr(args, "stage", 1) is None:
-        _default_stage(args)
     run = Run(args, argv)
     code = args.func(run)
     manifest = run.finish()

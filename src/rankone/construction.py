@@ -289,8 +289,24 @@ def load_construction(source) -> ConstructionParams:
         doc = {"family": name}
         for item in filter(None, rest.split(",")):
             key, _, value = item.partition("=")
-            doc[key] = int(value)
+            try:
+                doc[key] = int(value)
+            except ValueError as exc:
+                raise InputError(f"{name}: {key} must be an integer, not {value!r}") from exc
         doc.setdefault("depth", 20)
         return expand_family(doc)
-    with open(text, "r", encoding="utf-8") as fh:
-        return expand_family(json.load(fh))
+    return expand_family(read_config(text))
+
+
+def read_config(path):
+    """The JSON object stored at `path`; anything else is an InputError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except OSError as exc:
+        raise InputError(f"cannot read config {path!r}: {exc.strerror}") from exc
+    except ValueError as exc:
+        raise InputError(f"config {path!r} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise InputError(f"config {path!r} must hold a JSON object")
+    return doc

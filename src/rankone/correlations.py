@@ -17,9 +17,10 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .blocks import BlockDag, _check_word
-from .construction import ConstructionParams
+from .construction import heights
 from .errors import InputError, RangeError, Refusal
 from .odometer import cocycle_distribution
 
@@ -89,10 +90,28 @@ class LimitCheckRow:
     w2: str
     observed: Fraction
     predicted: Fraction
-    abs_error: float
     ci: float
-    method: str
-    seed: int
+    method: str = "EXACT_SCAN"
+    seed: int = None
+
+    @property
+    def abs_error(self):
+        return float(abs(self.observed - self.predicted))
+
+
+def _exact_lookup(dag, stage):
+    """Memoised exact correlation values (w1, w2, lag) -> Fraction on one stage."""
+
+    @lru_cache(maxsize=None)
+    def corr(w1, w2, lag):
+        return correlation(dag, w1, w2, lag, stage).value
+
+    return corr
+
+
+def _word_margin(pairs, extra):
+    """Room a scan window needs beyond the lag: the longest word plus `extra`."""
+    return max(max(len(a), len(b)) for a, b in pairs) + extra
 
 
 def _scan_stage_for(dag, lag, margin, requested=None):
@@ -103,11 +122,11 @@ def _scan_stage_for(dag, lag, margin, requested=None):
             raise RangeError(f"stage {requested} too shallow for lag {lag}")
         return requested
     for n in range(1, dag.max_stage + 1):
-        if dag.height(n) >= 4 * lag + margin and dag.height(n) <= dag.cap:
+        if 4 * lag + margin <= dag.height(n) <= dag.cap:
             return n
-    for n in range(dag.max_stage, 0, -1):
-        if lag + margin <= dag.height(n) <= dag.cap:
-            return n
+    deepest = dag.deepest_materializable()
+    if deepest is not None and dag.height(deepest) >= lag + margin:
+        return deepest
     raise Refusal(f"no materializable stage fits lag {lag}")
 
 
@@ -123,37 +142,22 @@ def verify_weak_limit_prediction(
     dag = dag or BlockDag(params)
     dist = cocycle_distribution(params, stage, j, depth)
     lag = j * dag.height(stage + 1)
-    margin = max(max(len(a), len(b)) for a, b in pairs) + max(dist.support())
-    scan = _scan_stage_for(dag, lag, margin, scan_stage)
-    rows = []
-    cache = {}
-
-    def corr(w1, w2, m):
-        key = (w1, w2, m)
-        if key not in cache:
-            cache[key] = correlation(dag, w1, w2, m, scan).value
-        return cache[key]
-
-    for w1, w2 in pairs:
-        observed = corr(w1, w2, lag)
-        predicted = sum((mass * corr(w2, w1, v) for v, mass in dist.masses), Fraction(0))
-        rows.append(
-            LimitCheckRow(
-                params.family,
-                scan,
-                f"j={j}",
-                lag,
-                w1,
-                w2,
-                observed,
-                predicted,
-                float(abs(observed - predicted)),
-                float(dist.tail),
-                "EXACT_SCAN",
-                None,
-            )
+    scan = _scan_stage_for(dag, lag, _word_margin(pairs, max(dist.support())), scan_stage)
+    corr = _exact_lookup(dag, scan)
+    return [
+        LimitCheckRow(
+            params.family,
+            scan,
+            f"j={j}",
+            lag,
+            w1,
+            w2,
+            corr(w1, w2, lag),
+            sum((mass * corr(w2, w1, v) for v, mass in dist.masses), Fraction(0)),
+            float(dist.tail),
         )
-    return rows
+        for w1, w2 in pairs
+    ]
 
 
 def verify_rigid_one_spacer(params, alpha, stage, pairs, powers=(1,), scan_stage=None, dag=None):
@@ -174,47 +178,30 @@ def verify_rigid_one_spacer(params, alpha, stage, pairs, powers=(1,), scan_stage
     dag = dag or BlockDag(params)
     shift = int(alpha * params.cut(stage))  # floor: alpha rational
     base_lag = shift * dag.height(stage)
-    margin = max(max(len(a), len(b)) for a, b in pairs) + 2
-    scan = _scan_stage_for(dag, max(powers) * base_lag, margin, scan_stage)
-    rows = []
-    cache = {}
-
-    def corr(w1, w2, m):
-        key = (w1, w2, m)
-        if key not in cache:
-            cache[key] = correlation(dag, w1, w2, m, scan).value
-        return cache[key]
-
-    for j in powers:
-        weight = j * alpha
-        for w1, w2 in pairs:
-            observed = corr(w1, w2, j * base_lag)
+    scan = _scan_stage_for(dag, max(powers) * base_lag, _word_margin(pairs, 2), scan_stage)
+    corr = _exact_lookup(dag, scan)
+    return [
+        LimitCheckRow(
+            params.family,
+            scan,
+            f"alpha={alpha},j={j}",
+            j * base_lag,
+            w1,
+            w2,
+            corr(w1, w2, j * base_lag),
             # the unit-shift side runs through the inverse: words swap roles
-            predicted = weight * corr(w2, w1, 1) + (1 - weight) * corr(w1, w2, 0)
-            rows.append(
-                LimitCheckRow(
-                    params.family,
-                    scan,
-                    f"alpha={alpha},j={j}",
-                    j * base_lag,
-                    w1,
-                    w2,
-                    observed,
-                    predicted,
-                    float(abs(observed - predicted)),
-                    0.0,
-                    "EXACT_SCAN",
-                    None,
-                )
-            )
-    return rows
+            j * alpha * corr(w2, w1, 1) + (1 - j * alpha) * corr(w1, w2, 0),
+            0.0,
+        )
+        for j in powers
+        for w1, w2 in pairs
+    ]
 
 
-def half_spacer_shift_candidates(params, alpha, stage, slack=None):
-    """Admissible shift counts: multiples of h_n + 1 within slack of alpha*p_n/2."""
-    alpha = Fraction(alpha)
-    dag = BlockDag(params)
-    h = dag.height(stage)
+def _shift_window(params, alpha, stage, slack):
+    """h_n, the target alpha*p_n/2, the slack and the five multiples of
+    h_n + 1 nearest the target."""
+    h = heights(params, stage).h(stage)
     p = params.cut(stage)
     target = alpha * p / 2
     slack = slack if slack is not None else int(round(p ** 0.75))
@@ -223,6 +210,12 @@ def half_spacer_shift_candidates(params, alpha, stage, slack=None):
     cands = sorted(
         {center + k * modulus for k in (-2, -1, 0, 1, 2) if center + k * modulus > 0}
     )
+    return h, target, slack, cands
+
+
+def half_spacer_shift_candidates(params, alpha, stage, slack=None):
+    """Admissible shift counts: multiples of h_n + 1 within slack of alpha*p_n/2."""
+    _, target, slack, cands = _shift_window(params, Fraction(alpha), stage, slack)
     return [c for c in cands if abs(c - target) <= slack], cands, slack
 
 
@@ -248,9 +241,7 @@ def verify_half_spacer_mixing(
     if not 0 < alpha < 1:
         raise InputError("alpha must lie strictly between 0 and 1")
     dag = dag or BlockDag(params)
-    valid, cands, slack = half_spacer_shift_candidates(params, alpha, stage, slack)
-    h = dag.height(stage)
-    target = alpha * params.cut(stage) / 2
+    h, target, slack, cands = _shift_window(params, alpha, stage, slack)
     if shift_count % (h + 1) != 0 or abs(shift_count - target) > slack:
         raise Refusal(
             f"shift {shift_count} must be a multiple of h_{stage}+1 = {h + 1} within "
@@ -260,24 +251,19 @@ def verify_half_spacer_mixing(
     ratios = [Fraction(params.cut(k), dag.height(k)) for k in range(1, params.depth + 1)]
     growing = all(a < b for a, b in zip(ratios, ratios[1:]))
     lag = shift_count * h
-    margin = max(max(len(a), len(b)) for a, b in pairs) + 2
-    scan = scan_stage
-    if scan is None:
-        scan = max(
-            (n for n in range(1, dag.max_stage + 1) if dag.height(n) <= dag.cap),
-            default=None,
-        )
-    if scan is None or dag.height(scan) < lag + margin:
+    # the deepest materializable block, not _scan_stage_for's shallowest fit
+    scan = dag.deepest_materializable() if scan_stage is None else scan_stage
+    if scan is None or dag.height(scan) < lag + _word_margin(pairs, 2):
         raise Refusal(f"no materializable stage fits lag {lag}")
+    corr = _exact_lookup(dag, scan)
     rows = []
     for w1, w2 in pairs:
         freq1 = dag.frequency(w1, scan).frequency
         freq2 = dag.frequency(w2, scan).frequency
-        corr0 = correlation(dag, w1, w2, 0, scan).value
+        predicted = alpha * freq1 * freq2 + (1 - alpha) * corr(w1, w2, 0)
         observed = correlation(
             dag, w1, w2, lag, scan, method="sampled", sample_budget=sample_budget, seed=seed
         )
-        predicted = alpha * freq1 * freq2 + (1 - alpha) * corr0
         rows.append(
             LimitCheckRow(
                 params.family,
@@ -288,7 +274,6 @@ def verify_half_spacer_mixing(
                 w2,
                 observed.value,
                 predicted,
-                float(abs(observed.value - predicted)),
                 observed.ci,
                 "SAMPLED",
                 seed,

@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .construction import ConstructionParams, heights
-from .errors import InputError, RangeError
+from .errors import InputError, RangeError, Refusal
 
 __all__ = [
     "OdometerPoint",
@@ -339,7 +339,9 @@ def _window_distribution(window, j, method):
     else:
         raise InputError(f"unknown method {method!r}")
     # exact tail guarantee inherited from the per-coordinate 1/p_n <= 1/2
-    assert dist.tail <= Fraction(j, 2 ** len(window))
+    bound = Fraction(j, 2 ** len(window))
+    if dist.tail > bound:
+        raise Refusal(f"{method} tail {dist.tail} exceeds the guaranteed bound {bound}")
     return dist
 
 

@@ -132,6 +132,8 @@ def orbit_word(dag: BlockDag, spec: OrbitSpec, length):
 
 def geometric_grid(horizon):
     """Horizons ceil(N / 2^k), deduplicated, ascending."""
+    if horizon < 1:
+        raise InputError("need horizon >= 1")
     grid = set()
     k = 0
     while True:
@@ -143,61 +145,74 @@ def geometric_grid(horizon):
     return sorted(grid)
 
 
+def _grid_steps(horizon, grid):
+    """(N', steps since the previous grid point) for each point of the sorted,
+    deduplicated grid (default: geometric), all of which must lie in 1..horizon."""
+    grid = sorted(set(grid or geometric_grid(horizon)))
+    if grid[0] < 1 or grid[-1] > horizon:
+        raise InputError("grid points must lie in 1..horizon")
+    prev = 0
+    for point in grid:
+        yield point, range(prev + 1, point + 1)
+        prev = point
+
+
 def partial_averages(values, weights, horizon, grid=None):
     """Exact partial averages (1/N') * sum_{n<=N'} values[n] * weights[n].
 
     `values` is indexed from 1 (callable or sequence with [n]); accumulation
-    is exact for int/Fraction values and complex otherwise."""
-    grid = sorted(set(grid or geometric_grid(horizon)))
-    if grid[-1] > horizon:
-        raise InputError("grid exceeds horizon")
+    is exact for int/Fraction values and complex otherwise.  This is the
+    per-step reference the integer-count accumulators below must match."""
     get = values if callable(values) else values.__getitem__
     out = []
     acc = 0
-    idx = 0
-    for n in range(1, horizon + 1):
-        w = weights[n]
-        if w:
-            acc = acc + get(n) * w
-        if idx < len(grid) and n == grid[idx]:
-            avg = Fraction(acc, n) if isinstance(acc, (int, Fraction)) else acc / n
-            out.append((n, avg))
-            idx += 1
+    for point, steps in _grid_steps(horizon, grid):
+        for n in steps:
+            w = weights[n]
+            if w:
+                acc = acc + get(n) * w
+        avg = Fraction(acc, point) if isinstance(acc, (int, Fraction)) else acc / point
+        out.append((point, avg))
     return out
 
 
-def cylinder_sarnak_averages(word, cylinder, center, mu, horizon, grid=None):
-    """Mobius averages of the centered cylinder observable, via integer counts.
+def cylinder_sarnak_averages(word, cylinder, center, mu, horizon, grid=None, start_floor=0):
+    """Mobius averages of a centered cylinder observable, via integer counts.
 
-    The observable at step n is [cylinder occurs at position n] - center, so
-    the partial sum splits into an integer hit count and center * Mertens;
-    both are tracked exactly and combined per grid point."""
+    `center` is one rational, or one per floor of a K-floor suspension orbit.
+    Step n sits on floor (start_floor + n) % K and reads word position
+    (start_floor + n) // K, so the partial sum splits into an integer hit sum
+    and one Mertens counter per floor, combined exactly at grid points only."""
     _check_word(cylinder)
-    center = Fraction(center)
-    if len(word) < horizon + len(cylinder):
+    centers = [Fraction(c) for c in (center if isinstance(center, (list, tuple)) else [center])]
+    K = len(centers)
+    if not 0 <= start_floor < K:
+        raise InputError("need 0 <= start_floor < number of floors")
+    if len(word) < (start_floor + horizon) // K + len(cylinder):
         raise RangeError("orbit word too short for the horizon and window")
-    grid = sorted(set(grid or geometric_grid(horizon)))
     out = []
     hit_sum = 0
-    mertens_sum = 0
-    idx = 0
-    for n in range(1, horizon + 1):
-        m = mu[n]
-        if m:
-            mertens_sum += m
-            if word.startswith(cylinder, n):
+    mertens_by_floor = [0] * K
+    for point, steps in _grid_steps(horizon, grid):
+        for n in steps:
+            m = mu[n]
+            if m and word.startswith(cylinder, (start_floor + n) // K):
                 hit_sum += m
-        if idx < len(grid) and n == grid[idx]:
-            out.append((n, Fraction(hit_sum - center * mertens_sum, n)))
-            idx += 1
+        for floor in range(K):
+            first = steps.start + (floor - start_floor - steps.start) % K
+            mertens_by_floor[floor] += sum(mu[first : point + 1 : K])
+        centered = hit_sum - sum(c * s for c, s in zip(centers, mertens_by_floor))
+        out.append((point, Fraction(centered, point)))
     return out
 
 
 def prime_power_averages(word, cylinder, center, p, q, horizon, grid=None):
     """Partial averages of f(T^{pn} omega) * f(T^{qn} omega) for f centered.
 
-    p and q must differ (primes in the intended use); the orbit word must
-    reach max(p, q) * horizon plus the window."""
+    With hits h_p, h_q in {0, 1}, (h_p - c)(h_q - c) expands to
+    h_p*h_q - c*(h_p + h_q) + c^2: two integer counts, combined exactly only
+    at grid points.  p and q must differ (primes in the intended use); the
+    orbit word must reach max(p, q) * horizon plus the window."""
     _check_word(cylinder)
     if p == q:
         raise InputError("need two different primes")
@@ -205,17 +220,15 @@ def prime_power_averages(word, cylinder, center, p, q, horizon, grid=None):
     need = max(p, q) * horizon + len(cylinder)
     if len(word) < need:
         raise RangeError(f"orbit word must cover {need} symbols")
-    grid = sorted(set(grid or geometric_grid(horizon)))
     out = []
-    acc = Fraction(0)
-    idx = 0
-    for n in range(1, horizon + 1):
-        fp = int(word.startswith(cylinder, p * n)) - center
-        fq = int(word.startswith(cylinder, q * n)) - center
-        acc += fp * fq
-        if idx < len(grid) and n == grid[idx]:
-            out.append((n, acc / n))
-            idx += 1
+    both = either = 0
+    for point, steps in _grid_steps(horizon, grid):
+        for n in steps:
+            hp = word.startswith(cylinder, p * n)
+            hq = word.startswith(cylinder, q * n)
+            both += hp and hq
+            either += hp + hq
+        out.append((point, Fraction(both - center * either + point * center * center, point)))
     return out
 
 

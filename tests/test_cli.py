@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+import rankone
 from rankone.cli import main, replay_manifest, run_argv
 
 
@@ -156,11 +157,15 @@ def test_manifest_records_parameters(tmp_path):
 
 
 def test_console_script_entrypoint(tmp_path):
+    # the child imports the same rankone tree as this process, installed or not
+    src = os.path.dirname(os.path.dirname(rankone.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "rankone.cli", "heights", "--config", "vnk:depth=3",
          "-n", "3", "--out", str(tmp_path)],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "1,2,4,8"
@@ -189,3 +194,41 @@ def test_suspend_cli(tmp_path):
     rows = read_csv(tmp_path / "suspend.csv")
     assert rows[0] == ["N_prime", "partial_average"]
     complex(rows[-1][1].replace("i", "j"))  # parses as a complex number
+
+
+def test_suspend_cylinder_observable(tmp_path, capsys):
+    # no --stage: the deepest block under the cap (h_15 of Chacon) is used
+    # and recorded in the manifest
+    code, manifest = run(
+        ["suspend", "--config", "chacon:depth=30", "--K", "3", "--observable", "cyl:0",
+         "--N", "3000"],
+        tmp_path,
+    )
+    assert code == 0
+    assert manifest["parameters"]["stage"] == 15
+    assert "final |average| at N=3000" in capsys.readouterr().out
+    rows = read_csv(tmp_path / "suspend.csv")
+    assert rows[0] == ["N_prime", "partial_average"]
+    assert rows[-1][0] == "3000"
+    assert all("/" in r[1] for r in rows[1:])
+    Fraction(rows[-1][1])  # exact rational output
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["heights", "--config", "{tmp}/missing.json", "-n", "2"],
+        ["heights", "--config", "chacon:depth=x", "-n", "2"],
+        ["certify", "--config", "chacon:depth=30", "--pairs", "1:x", "--depth", "6"],
+        ["heights", "--config", "{tmp}/list.json", "-n", "2"],
+        ["blocks", "--config", "chacon:depth=6", "--stage", "3", "--start", "0"],
+        ["rigid-chacon", "--config", "generalized_chacon:depth=8", "--alpha", "1/2", "-n", "5",
+         "--powers", "1,x"],
+    ],
+    ids=["missing-config", "bad-family-arg", "bad-pairs", "list-config", "start-0", "bad-powers"],
+)
+def test_malformed_input_exits_2(tmp_path, capsys, argv):
+    (tmp_path / "list.json").write_text(json.dumps([{"family": "chacon", "depth": 5}]))
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rankone.construction import ConstructionParams, chacon, heights, von_neumann_kakutani
-from rankone.errors import InputError, RangeError
+from rankone import odometer
+from rankone.errors import InputError, RangeError, Refusal
 from rankone.odometer import (
     IntegerDistribution,
     OdometerPoint,
@@ -211,3 +212,14 @@ def test_distribution_chacon_masses():
 def test_distribution_insufficient_depth():
     with pytest.raises(RangeError):
         cocycle_distribution(chacon(5), 3, 1, 4)
+
+
+def test_tail_bound_violation_raises(monkeypatch):
+    # an evaluation order that leaves more tail than j * 2^-depth must be
+    # refused by an explicit check (an assert would vanish under python -O)
+    def too_much_tail(window, j):
+        return IntegerDistribution(((0, Fraction(1, 2)),), Fraction(1, 2))
+
+    monkeypatch.setattr(odometer, "_window_distribution_conv", too_much_tail)
+    with pytest.raises(Refusal, match="exceeds the guaranteed bound"):
+        cocycle_distribution(chacon(10), 2, 1, 3)

@@ -96,6 +96,72 @@ def test_cylinder_averages_linear_in_observable():
         assert v1 - v2 == Fraction(2, 3) * Fraction(mertens(mu, n1), n1)
 
 
+@pytest.mark.parametrize("K", [1, 3])
+def test_cylinder_counts_match_per_step_reference(K):
+    dag = BlockDag(chacon(14))
+    horizon = 700
+    mu = mobius_sieve(horizon)
+    centers = [Fraction(2, 3), Fraction(1, 5), Fraction(0)][:K]
+    for start_floor in range(K):
+        spec = OrbitSpec(stage=10, offset=3, floors=K, start_floor=start_floor)
+        reference = partial_averages(
+            suspension_values(dag, spec, FloorCylinderObservable("01", centers), horizon),
+            mu,
+            horizon,
+        )
+        word = orbit_word(dag, spec, (start_floor + horizon) // K + 3)
+        rows = cylinder_sarnak_averages(
+            word, "01", centers if K > 1 else centers[0], mu, horizon, start_floor=start_floor
+        )
+        assert rows == reference
+        grid = [1, 2, 50, 699, 700]
+        assert cylinder_sarnak_averages(
+            word, "01", centers, mu, horizon, grid=grid, start_floor=start_floor
+        ) == partial_averages(
+            suspension_values(dag, spec, FloorCylinderObservable("01", centers), horizon),
+            mu,
+            horizon,
+            grid=grid,
+        )
+
+
+def test_prime_power_counts_match_per_step_fractions():
+    dag = BlockDag(chacon(20))
+    word = orbit_word(dag, OrbitSpec(stage=12, offset=11), 3 * 900 + 3)
+    center = Fraction(3, 7)
+    acc = Fraction(0)
+    expected = {}
+    for n in range(1, 901):
+        fp = int(word.startswith("10", 2 * n)) - center
+        fq = int(word.startswith("10", 3 * n)) - center
+        acc += fp * fq
+        expected[n] = acc / n
+    rows = prime_power_averages(word, "10", center, 2, 3, 900)
+    assert [n for n, _ in rows] == geometric_grid(900)
+    assert all(v == expected[n] for n, v in rows)
+    rows = prime_power_averages(word, "10", center, 3, 2, 900, grid=[7, 900, 7, 450])
+    assert rows == [(n, expected[n]) for n in (7, 450, 900)]
+
+
+@pytest.mark.parametrize("grid", [[5, 101], [0, 5], [-1]])
+def test_grid_points_outside_horizon_raise(grid):
+    dag = BlockDag(chacon(20))
+    word = orbit_word(dag, OrbitSpec(stage=10), 400)
+    mu = mobius_sieve(100)
+    with pytest.raises(InputError):
+        partial_averages(lambda n: 1, mu, 100, grid=grid)
+    with pytest.raises(InputError):
+        cylinder_sarnak_averages(word, "0", Fraction(0), mu, 100, grid=grid)
+    with pytest.raises(InputError):
+        prime_power_averages(word, "0", Fraction(0), 2, 3, 100, grid=grid)
+
+
+def test_geometric_grid_needs_positive_horizon():
+    for horizon in (0, -5):
+        with pytest.raises(InputError):
+            geometric_grid(horizon)
+
+
 def test_prime_power_input_checks():
     dag = BlockDag(chacon(20))
     word = orbit_word(dag, OrbitSpec(stage=10), 500)
