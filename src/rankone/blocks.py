@@ -19,6 +19,7 @@ import re
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .construction import ConstructionParams, heights, spacer_stats
 from .errors import InputError, RangeError, Refusal
@@ -53,20 +54,23 @@ class CylinderMeasureEstimate:
 class BlockDag:
     """Recursive view of the building blocks of one construction.
 
-    Queries are deterministic but not pure: they fill caches of per-stage
-    child offsets, the blocks up to `memo_limit` symbols, one larger block (up
-    to `cap`), and per-word occurrence counts and block edges; the last two
-    grow without bound with the number of distinct words queried."""
+    `__init__` builds the layout table once, in time linear in the size of
+    the construction: the heights h_n indexed by stage and, for each stage
+    n >= 2, the start offsets of the p_{n-1} copies of B_{n-1} inside B_n
+    with the spacer row that follows them.  `segments` is the only reader of
+    the table's layout.  Queries are deterministic and fill two caches only:
+    the blocks up to `memo_limit` symbols and one larger block (up to `cap`)."""
 
     def __init__(self, params: ConstructionParams, cap=DEFAULT_CAP, memo_limit=1 << 17):
         self.params = params
         self.cap = cap
         self.memo_limit = min(memo_limit, cap)
-        self._seq = heights(params, params.depth)
+        self._heights = (0,) + heights(params, params.depth).heights
+        self._layout = (None, None) + tuple(
+            (list(accumulate((h + s for s in row[:-1]), initial=0)), row)
+            for h, row in zip(self._heights[1:], params.spacers)
+        )
         self._strings = {1: "0"}
-        self._starts = {}
-        self._counts = {}
-        self._edges = {}
         self._big = None  # single-slot cache (stage, word) for large blocks
 
     @property
@@ -76,44 +80,30 @@ class BlockDag:
     def height(self, n):
         if not 1 <= n <= self.max_stage:
             raise RangeError(f"stage {n} outside 1..{self.max_stage}")
-        return self._seq.h(n)
+        return self._heights[n]
 
     def deepest_materializable(self):
         """The deepest stage whose block fits under the cap, or None."""
-        return next((n for n in range(self.max_stage, 0, -1) if self.height(n) <= self.cap), None)
+        return next((n for n in range(self.max_stage, 0, -1) if self._heights[n] <= self.cap), None)
 
     # -- layout ---------------------------------------------------------
 
-    def _child_starts(self, n):
-        """Start offsets of the p_{n-1} copies of B_{n-1} inside B_n."""
-        starts = self._starts.get(n)
-        if starts is None:
-            h = self.height(n - 1)
-            starts = []
-            pos = 0
-            for s in self.params.spacer_row(n - 1):
-                starts.append(pos)
-                pos += h + s
-            self._starts[n] = starts
-        return starts
-
-    def _segments_in(self, n, lo, hi):
-        """Yield ('B', child_start) and ('1', run_start, run_len) segments of
-        B_n overlapping [lo, hi), in order."""
-        starts = self._child_starts(n)
-        h = self.height(n - 1)
-        row = self.params.spacer_row(n - 1)
-        j = max(0, bisect_right(starts, lo) - 1)
-        while j < len(starts):
+    def segments(self, n, lo, hi):
+        """Yield the pieces of B_n (2 <= n <= max_stage) overlapping the
+        0-based range [lo, hi), in order, as (a, b, child): [a, b) is the
+        overlap and `child` the offset of the piece's copy of B_{n-1} in B_n,
+        or None when the piece is a spacer run."""
+        starts, row = self._layout[n]
+        h = self._heights[n - 1]
+        for j in range(bisect_right(starts, lo) - 1, len(starts)):
             bstart = starts[j]
             if bstart >= hi:
                 return
             bend = bstart + h
             if bend > lo:
-                yield ("B", bstart)
+                yield max(lo, bstart), min(hi, bend), bstart
             if row[j] and bend < hi and bend + row[j] > lo:
-                yield ("1", bend, row[j])
-            j += 1
+                yield max(lo, bend), min(hi, bend + row[j]), None
 
     # -- materialization and extraction ----------------------------------
 
@@ -123,7 +113,7 @@ class BlockDag:
             return s
         prev = self._small_string(n - 1)
         parts = []
-        for sp in self.params.spacer_row(n - 1):
+        for sp in self._layout[n][1]:
             parts.append(prev)
             if sp:
                 parts.append("1" * sp)
@@ -158,40 +148,20 @@ class BlockDag:
     def _extract(self, n, lo, hi, out):
         if lo >= hi:
             return
-        if self.height(n) <= self.memo_limit:
+        if self._heights[n] <= self.memo_limit:
             out.append(self._small_string(n)[lo:hi])
             return
-        for seg in self._segments_in(n, lo, hi):
-            if seg[0] == "B":
-                bstart = seg[1]
-                a = max(lo, bstart)
-                b = min(hi, bstart + self.height(n - 1))
-                self._extract(n - 1, a - bstart, b - bstart, out)
-            else:
-                _, rstart, rlen = seg
-                a = max(lo, rstart)
-                b = min(hi, rstart + rlen)
+        for a, b, child in self.segments(n, lo, hi):
+            if child is None:
                 out.append("1" * (b - a))
+            else:
+                self._extract(n - 1, a - child, b - child, out)
 
     def symbol_at(self, n, i):
         """Symbol of B_n at 1-based position i, by O(depth) descent."""
         return int(self.extract(n, i, 1))
 
     # -- exact occurrence counting ---------------------------------------
-
-    def _edge(self, n, k, side):
-        """First (side='P') or last (side='S') min(k, h_n) symbols of B_n."""
-        key = (n, k, side)
-        cached = self._edges.get(key)
-        if cached is None:
-            h = self.height(n)
-            k = min(k, h)
-            if side == "P":
-                cached = self.extract(n, 1, k)
-            else:
-                cached = self.extract(n, h - k + 1, k)
-            self._edges[key] = cached
-        return cached
 
     def count_occurrences(self, word, n):
         """Exact number of (overlapping) occurrences of `word` in B_n.
@@ -205,25 +175,21 @@ class BlockDag:
         return self._count(word, n)
 
     def _count(self, word, n):
-        key = (word, n)
-        cached = self._counts.get(key)
-        if cached is not None:
-            return cached
         L = len(word)
-        if self.height(n) <= max(self.memo_limit, 2 * L):
-            total = count_overlapping(self.materialize(n), word)
-            self._counts[key] = total
-            return total
+        if self._heights[n] <= max(self.memo_limit, 2 * L):
+            return count_overlapping(self.materialize(n), word)
 
         all_ones = word == "1" * L
-        h_child = self.height(n - 1)
+        h_child = self._heights[n - 1]
         inner = self._count(word, n - 1)
-        child_pre = self._edge(n - 1, L - 1, "P") if L > 1 else ""
-        child_suf = self._edge(n - 1, L - 1, "S") if L > 1 else ""
+        # first and last min(L - 1, h_child) symbols of B_{n-1}
+        k = min(L - 1, h_child)
+        child_pre = self.extract(n - 1, 1, k)
+        child_suf = self.extract(n - 1, h_child - k + 1, k) if k else ""
 
         total = 0
         buf = ""
-        for s in self.params.spacer_row(n - 1):
+        for s in self._layout[n][1]:
             # copy of B_{n-1}: occurrences inside, then those ending in it
             total += inner
             seg = buf + child_pre
@@ -245,7 +211,6 @@ class BlockDag:
                     if st + L <= limit and st + L <= len(seg) and seg.startswith(word, st):
                         total += 1
                 buf = (buf + "1" * min(s, L - 1))[-(L - 1):] if L > 1 else ""
-        self._counts[key] = total
         return total
 
     def frequency(self, word, n):
@@ -337,14 +302,11 @@ def spacer_order(dag, n, position):
     stage = n
     off = position - 1
     while stage >= 2:
-        h = dag.height(stage - 1)
-        starts = dag._child_starts(stage)
-        j = max(0, bisect_right(starts, off) - 1)
-        if off < starts[j] + h:
-            off -= starts[j]
-            stage -= 1
-        else:
+        _, _, child = next(dag.segments(stage, off, off + 1))
+        if child is None:
             return stage
+        off -= child
+        stage -= 1
     raise InputError("reached the base block; position was not a spacer")
 
 
@@ -409,15 +371,11 @@ def _canonical_cover(dag, m, off0, length, ell):
             continue
         if stage == 1:
             continue
-        for seg in dag._segments_in(stage, max(wlo - bstart, 0), min(whi, bend) - bstart):
-            if seg[0] == "B":
-                stack.append((stage - 1, bstart + seg[1]))
+        for a, b, child in dag.segments(stage, max(wlo - bstart, 0), min(whi, bend) - bstart):
+            if child is None:
+                runs.append((bstart + a, bstart + b, stage))
             else:
-                _, rstart, rlen = seg
-                a = max(wlo, bstart + rstart)
-                b = min(whi, bstart + rstart + rlen)
-                if a < b:
-                    runs.append((a, b, stage))
+                stack.append((stage - 1, bstart + child))
     cover.sort()
     runs.sort()
     merged = []

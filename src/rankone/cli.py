@@ -401,41 +401,43 @@ def _write_report(run, name, rows):
 
 
 def cmd_verify_pj(run):
-    params = _load(run)
+    dag = _load_dag(run)
     rows = verify_weak_limit_prediction(
-        params,
+        dag.params,
         run.args.n,
         run.args.j,
         _parse_word_pairs(run.args.cylinders),
         depth=run.args.depth,
         scan_stage=run.args.scan_stage,
+        dag=dag,
     )
     _write_report(run, "verify_pj.csv", rows)
     return 0
 
 
 def cmd_rigid_chacon(run):
-    params = _load(run)
+    dag = _load_dag(run)
     try:
         powers = tuple(int(j) for j in run.args.powers.split(","))
     except ValueError as exc:
         raise InputError(f"powers must be comma-separated integers: {run.args.powers!r}") from exc
     rows = verify_rigid_one_spacer(
-        params,
+        dag.params,
         _parse_fraction(run.args.alpha),
         run.args.n,
         _parse_word_pairs(run.args.cylinders),
         powers=powers,
         scan_stage=run.args.scan_stage,
+        dag=dag,
     )
     _write_report(run, "rigid_chacon.csv", rows)
     return 0
 
 
 def cmd_katok(run):
-    params = _load(run)
+    dag = _load_dag(run)
     rows = verify_half_spacer_mixing(
-        params,
+        dag.params,
         _parse_fraction(run.args.alpha),
         run.args.n,
         run.args.ell,
@@ -443,6 +445,7 @@ def cmd_katok(run):
         sample_budget=run.args.samples,
         seed=run.args.seed,
         scan_stage=run.args.scan_stage,
+        dag=dag,
     )
     _write_report(run, "katok.csv", rows)
     return 0

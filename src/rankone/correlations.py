@@ -234,7 +234,7 @@ def verify_half_spacer_mixing(
     """Half-spacered family: sampled corr(lag shift*h_n) vs
     alpha*freq(A)*freq(B) + (1-alpha)*corr(0).
 
-    The shift count must be a multiple of h_n + 1 and sit within the slack
+    The shift count must be a positive multiple of h_n + 1 and sit within the slack
     window (default p_n^{3/4}) of alpha*p_n/2; otherwise the nearest valid
     candidates are reported in a refusal."""
     alpha = Fraction(alpha)
@@ -242,9 +242,9 @@ def verify_half_spacer_mixing(
         raise InputError("alpha must lie strictly between 0 and 1")
     dag = dag or BlockDag(params)
     h, target, slack, cands = _shift_window(params, alpha, stage, slack)
-    if shift_count % (h + 1) != 0 or abs(shift_count - target) > slack:
+    if shift_count < 1 or shift_count % (h + 1) != 0 or abs(shift_count - target) > slack:
         raise Refusal(
-            f"shift {shift_count} must be a multiple of h_{stage}+1 = {h + 1} within "
+            f"shift {shift_count} must be a positive multiple of h_{stage}+1 = {h + 1} within "
             f"{slack} of {float(target):.1f}; nearest candidates: {cands}"
         )
     # prefix diagnostic of the fast-growth hypothesis

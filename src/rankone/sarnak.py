@@ -118,7 +118,8 @@ def orbit_word(dag: BlockDag, spec: OrbitSpec, length):
         raise RangeError("splice suffix longer than the block")
     parts = []
     take = min(spec.splice_suffix, length)
-    parts.append(dag.extract(spec.stage, h - spec.splice_suffix + 1, take))
+    if take:
+        parts.append(dag.extract(spec.stage, h - spec.splice_suffix + 1, take))
     remaining = length - take
     ones = min(spec.splice_ones, remaining)
     parts.append("1" * ones)

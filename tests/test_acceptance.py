@@ -100,7 +100,7 @@ def test_criterion_01_block_identity():
                 ok = ok and len(dag.materialize(n)) == h
             if n >= 2:
                 # the child layout must tile the block exactly
-                starts = dag._child_starts(n)
+                starts = [c for _, _, c in dag.segments(n, 0, h) if c is not None]
                 last_end = starts[-1] + seq.h(n - 1) + params.spacer_row(n - 1)[-1]
                 ok = ok and last_end == h and starts[0] == 0
     report("criterion 1: block identity and lengths", ok)

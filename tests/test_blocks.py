@@ -180,7 +180,7 @@ def test_spacer_run_bound(rng):
 def _canonical_offsets(dag, m, n):
     offsets = [0]
     for stage in range(m, n, -1):
-        starts = dag._child_starts(stage)
+        starts = [c for _, _, c in dag.segments(stage, 0, dag.height(stage)) if c is not None]
         offsets = [o + s for o in offsets for s in starts]
     return offsets
 
@@ -199,6 +199,23 @@ def test_every_zero_in_embedded_copy(rng):
                 for i in range(off, off + h):
                     covered[i] = 1
             assert all(covered[i] for i, ch in enumerate(word) if ch == "0")
+
+
+def test_spacer_order_is_least_covering_stage(rng):
+    # a spacer's order is the least k whose canonical B_k copies cover it
+    for _ in range(10):
+        params = random_bounded_params(rng, depth=5)
+        dag = BlockDag(params)
+        m = max(n for n in range(1, params.depth + 2) if dag.height(n) <= 5_000)
+        word = dag.materialize(m)
+        least = [None] * len(word)
+        for k in range(m, 0, -1):
+            h = dag.height(k)
+            for off in _canonical_offsets(dag, m, k):
+                least[off : off + h] = [k] * h
+        for i, ch in enumerate(word):
+            if ch == "1":
+                assert spacer_order(dag, m, i + 1) == least[i]
 
 
 def test_block_occurrence():

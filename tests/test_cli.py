@@ -86,6 +86,18 @@ def test_pj_profile_json_config(tmp_path):
     assert rows[-1] == ["TAIL", "0", "1"]
 
 
+def test_readme_profile_example(tmp_path):
+    # the profile document and the pj command exactly as the README shows them
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md"), encoding="utf-8") as fh:
+        readme = fh.read()
+    doc = next(b for b in readme.split("```json\n")[1:] if b.startswith('{"profile"'))
+    (tmp_path / "profile.json").write_text(doc.split("```")[0])
+    argv = next(line for line in readme.splitlines() if line.startswith("rankone pj "))
+    argv = argv.split("#")[0].split()[1:]
+    argv[argv.index("profile.json")] = str(tmp_path / "profile.json")
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+
+
 def test_classify_and_eigen(tmp_path, capsys):
     code, _ = run(["classify", "--config", "vnk:depth=12"], tmp_path)
     assert code == 0 and "ODOMETER" in capsys.readouterr().out
@@ -117,6 +129,8 @@ def test_correlate_exact_and_sampled(tmp_path):
 def test_exit_codes():
     assert main(["heights", "--config", "chacon:depth=3", "-n", "9"]) == 2
     assert main(["classify", "--config", "generalized_chacon:depth=8"]) == 3
+    # --cap reaches the scan: no block under 1000 symbols fits lag h_11
+    assert main(["verify-pj", "--config", "chacon:depth=30", "-n", "10", "--cap", "1000"]) == 3
     with pytest.raises(SystemExit) as err:
         main(["not-a-command"])
     assert err.value.code == 2

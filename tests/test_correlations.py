@@ -128,6 +128,10 @@ def test_half_spacer_candidates_and_refusal():
     with pytest.raises(Refusal) as err:
         verify_half_spacer_mixing(kat, Fraction(1, 2), 1, 25, [("0", "1")], sample_budget=10)
     assert "26" in str(err.value)
+    # a zero shift is a multiple of h_1 + 1 within the slack but no mixing lag
+    with pytest.raises(Refusal) as err:
+        verify_half_spacer_mixing(kat, Fraction(1, 2), 1, 0, [("0", "1")], sample_budget=10)
+    assert str(cands) in str(err.value)
 
 
 def test_half_spacer_small_run():

@@ -192,6 +192,9 @@ def test_orbit_word_plain_and_spliced():
     assert word[:10] == dag.extract(5, h5 - 9, 10)
     assert word[10:16] == "1" * 6
     assert word[16:] == dag.extract(5, 1, 14)
+    # a splice with no suffix starts on the spacer run
+    no_suffix = OrbitSpec(stage=8, offset=1, splice_ones=5)
+    assert orbit_word(dag, no_suffix, 30) == "1" * 5 + dag.extract(8, 1, 25)
 
 
 def test_orbit_word_range_errors():
