@@ -58,8 +58,10 @@ class BlockDag:
     the construction: the heights h_n indexed by stage and, for each stage
     n >= 2, the start offsets of the p_{n-1} copies of B_{n-1} inside B_n
     with the spacer row that follows them.  `segments` is the only reader of
-    the table's layout.  Queries are deterministic and fill two caches only:
-    the blocks up to `memo_limit` symbols and one larger block (up to `cap`)."""
+    the start offsets.  Occurrence counts read the spacer rows alone: each
+    stage joins its row's pieces, cut down to their edges, into one seam
+    string.  Queries are deterministic and fill two caches only: the blocks
+    up to `memo_limit` symbols and one larger block."""
 
     def __init__(self, params: ConstructionParams, cap=DEFAULT_CAP, memo_limit=1 << 17):
         self.params = params
@@ -137,9 +139,9 @@ class BlockDag:
         return word
 
     def extract(self, n, start, length):
-        """Substring of B_n of `length` symbols starting at 1-based `start`."""
+        """Substring of B_n of `length` symbols from 1-based `start` <= h_n + 1."""
         h = self.height(n)
-        if length < 0 or not 1 <= start <= h or start + length - 1 > h:
+        if length < 0 or not 1 <= start <= h + 1 or start + length - 1 > h:
             raise RangeError(f"range [{start}, {start + length - 1}] outside B_{n}")
         out = []
         self._extract(n, start - 1, start - 1 + length, out)
@@ -166,9 +168,9 @@ class BlockDag:
     def count_occurrences(self, word, n):
         """Exact number of (overlapping) occurrences of `word` in B_n.
 
-        Counts by recursion over the layout -- occurrences inside children
-        plus occurrences crossing junctions, each counted at the part where
-        it ends -- so B_n is never materialized."""
+        Counts by recursion over the layout -- occurrences inside the long
+        pieces of B_n's row plus those on the seam string that joins their
+        edges -- so B_n is never materialized."""
         _check_word(word)
         if len(word) > self.height(n):
             raise RangeError(f"word longer than B_{n}")
@@ -178,40 +180,23 @@ class BlockDag:
         L = len(word)
         if self._heights[n] <= max(self.memo_limit, 2 * L):
             return count_overlapping(self.materialize(n), word)
-
-        all_ones = word == "1" * L
-        h_child = self._heights[n - 1]
-        inner = self._count(word, n - 1)
-        # first and last min(L - 1, h_child) symbols of B_{n-1}
-        k = min(L - 1, h_child)
-        child_pre = self.extract(n - 1, 1, k)
-        child_suf = self.extract(n - 1, h_child - k + 1, k) if k else ""
-
+        # Seam string of B_n's row: a piece longer than 2m (m = L - 1) keeps
+        # its first and last m symbols around a "#" no word matches, and the
+        # occurrences wholly inside it are counted per piece instead.
+        m = L - 1
+        h = self._heights[n - 1]
+        row = self._layout[n][1]
         total = 0
-        buf = ""
-        for s in self._layout[n][1]:
-            # copy of B_{n-1}: occurrences inside, then those ending in it
-            total += inner
-            seg = buf + child_pre
-            limit = len(buf) + h_child
-            for st in range(len(buf)):
-                if st + L <= limit and seg.startswith(word, st) and st + L <= len(seg):
-                    total += 1
-            if h_child >= L - 1:
-                buf = child_suf
-            else:
-                buf = (buf + self._small_string(n - 1))[-(L - 1):] if L > 1 else ""
-            # spacer run
-            if s:
-                if all_ones and s >= L:
-                    total += s - L + 1
-                seg = buf + "1" * min(s, L - 1)
-                limit = len(buf) + s
-                for st in range(len(buf)):
-                    if st + L <= limit and st + L <= len(seg) and seg.startswith(word, st):
-                        total += 1
-                buf = (buf + "1" * min(s, L - 1))[-(L - 1):] if L > 1 else ""
-        return total
+        if h > 2 * m:
+            child = self.extract(n - 1, 1, m) + "#" + self.extract(n - 1, h - m + 1, m)
+            total += len(row) * self._count(word, n - 1)
+        else:
+            child = self.extract(n - 1, 1, h)
+        if word == "1" * L:
+            total += sum(s - m for s in row if s > 2 * m)
+        run = "1" * m + "#" + "1" * m
+        seams = "".join(child + (run if s > 2 * m else "1" * s) for s in row)
+        return total + count_overlapping(seams, word)
 
     def frequency(self, word, n):
         """Exact frequency of `word` among the h_n - |W| + 1 windows of B_n."""
@@ -394,7 +379,6 @@ def _edge_split(word, h_ell):
     first = word.find("0")
     if first == -1:
         return "", word, ""
-    last = word.rfind("0")
     head_limit = min(len(word), h_ell - 1)
     a_end = word.rfind("0", 0, head_limit)
     tail_start = max(0, len(word) - (h_ell - 1))
@@ -402,7 +386,6 @@ def _edge_split(word, h_ell):
     if a_end == -1 and c_pos == -1:
         # zeros exist but outside both margins: not a language window
         return None
-    a_end = a_end if a_end != -1 else -1
     c_pos = c_pos if c_pos != -1 else len(word)
     if c_pos <= a_end:
         return word, "", ""

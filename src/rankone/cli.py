@@ -177,19 +177,14 @@ def _load_dag(run):
 
 def _load_profile(run, depth_needed):
     """Profile from a profile JSON, or auto-derived from the construction."""
-    text = str(run.args.config)
-    if text.endswith(".json") and os.path.exists(text):
-        doc = read_config(text)
-        if "profile" in doc:
-            p = doc["profile"]
-            run.config_doc = doc
-            return LimitProfile(
-                int(p["lo"]),
-                tuple(int(x) for x in p["pis"]),
-                tuple(tuple(int(e) for e in row) for row in p["etas"]),
-                p.get("bounded_by"),
-            )
-    params = _load(run)
+    source = str(run.args.config)
+    if source.endswith(".json") and os.path.exists(source):
+        source = read_config(source)
+        if "profile" in source:
+            run.config_doc = source
+            return LimitProfile.from_doc(source)
+    params = load_construction(source)
+    run.config_doc = params.to_doc()
     left = 4
     right = depth_needed + 1
     cands = detect_stabilizing(

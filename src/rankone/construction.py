@@ -231,12 +231,25 @@ def katok(cuts=None, depth=None):
     return ConstructionParams(cuts=cuts, spacers=rows, family="katok", unbounded=unbounded)
 
 
+def json_ints(value, what, nesting=1):
+    """`value` as JSON integers: one integer at nesting 0, else a list (of
+    lists, at nesting 2) of them, as tuples.  2.5, true or "3" is refused,
+    not coerced."""
+    if nesting == 0:
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise InputError(f"{what}: expected an integer, got {value!r}")
+        return value
+    if not isinstance(value, (list, tuple)):
+        raise InputError(f"{what}: expected a list, got {value!r}")
+    return tuple(json_ints(v, what, nesting - 1) for v in value)
+
+
 def _expand_custom(doc):
-    cuts = [int(c) for c in doc.get("cuts", [])]
-    spacers = [tuple(int(s) for s in row) for row in doc.get("spacers", [])]
+    cuts = json_ints(doc.get("cuts", []), "cuts")
+    spacers = json_ints(doc.get("spacers", []), "spacers", 2)
     if len(cuts) != len(spacers):
         raise InputError("cuts and spacers must have the same number of stages")
-    depth = int(doc.get("depth", len(cuts)))
+    depth = json_ints(doc.get("depth", len(cuts)), "depth", 0)
     gen = doc.get("generator", {}) or {}
     rule = gen.get("rule", "periodic" if depth > len(cuts) else "none")
     if depth > len(cuts):
@@ -255,24 +268,26 @@ def _expand_custom(doc):
 def expand_family(doc) -> ConstructionParams:
     """Deterministically expand a construction document to an explicit prefix."""
     family = doc.get("family", "custom")
-    depth = doc.get("depth")
-    gen = doc.get("generator", {}) or {}
-    if family == "chacon":
-        return chacon(int(depth))
-    if family == "vnk":
-        return von_neumann_kakutani(int(depth))
-    if family == "generalized_chacon":
-        cuts = doc.get("cuts") or gen.get("cuts")
-        idx = gen.get("spacer_index", 0)
-        if isinstance(idx, list):
-            idx = tuple(idx)
-        return generalized_chacon(int(depth), cuts=cuts, spacer_index=idx)
-    if family == "katok":
-        cuts = doc.get("cuts") or gen.get("cuts")
-        return katok(cuts=cuts, depth=None if cuts else int(depth))
     if family == "custom":
         return _expand_custom(doc)
-    raise InputError(f"unknown family {family!r}")
+    if family not in FAMILIES:
+        raise InputError(f"unknown family {family!r}")
+    gen = doc.get("generator", {}) or {}
+    cuts = doc.get("cuts") or gen.get("cuts")
+    if family == "katok" and cuts:
+        return katok(cuts=json_ints(cuts, "cuts"))
+    depth = json_ints(doc.get("depth"), f"{family} depth", 0)
+    if family == "chacon":
+        return chacon(depth)
+    if family == "vnk":
+        return von_neumann_kakutani(depth)
+    if family == "katok":
+        return katok(depth=depth)
+    idx = gen.get("spacer_index", 0)
+    if isinstance(idx, list):
+        idx = tuple(idx)
+    cuts = None if cuts is None else json_ints(cuts, "cuts")
+    return generalized_chacon(depth, cuts=cuts, spacer_index=idx)
 
 
 def load_construction(source) -> ConstructionParams:

@@ -172,7 +172,7 @@ def verify_rigid_one_spacer(params, alpha, stage, pairs, powers=(1,), scan_stage
                 raise InputError("needs the one-spacer-per-stage family")
         if not all(a < b for a, b in zip(params.cuts, params.cuts[1:])):
             raise InputError("the rigidity limit needs cuts growing to infinity")
-    bad = [j for j in powers if j * alpha >= 1]
+    bad = [j for j in powers if not 0 < j * alpha < 1]
     if bad:
         raise Refusal(f"powers {bad} put j*alpha outside (0, 1)")
     dag = dag or BlockDag(params)

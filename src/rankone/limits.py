@@ -18,11 +18,11 @@ eigenvalues / weakly mixing candidate) is prefix-heuristic and labelled so.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd
 
-from .construction import ConstructionParams
+from .construction import ConstructionParams, json_ints
 from .construction import heights as _heights
 from .errors import InputError, RangeError, Refusal
 from .odometer import IntegerDistribution, _window_distribution
@@ -103,6 +103,20 @@ class LimitProfile:
 
     def window_rows(self, a, b):
         return tuple((self.pi(m), self.eta(m)) for m in range(a, b + 1))
+
+    @classmethod
+    def from_doc(cls, doc):
+        """The profile of a `to_doc` document; a malformed one is an InputError."""
+        p = doc.get("profile")
+        if not isinstance(p, dict) or not {"lo", "pis", "etas"} <= p.keys():
+            raise InputError("a profile needs an object with lo, pis and etas")
+        bound = p.get("bounded_by")
+        return cls(
+            json_ints(p["lo"], "profile lo", 0),
+            json_ints(p["pis"], "profile pis"),
+            json_ints(p["etas"], "profile etas", 2),
+            None if bound is None else json_ints(bound, "profile bounded_by", 0),
+        )
 
     def to_doc(self):
         return {
@@ -321,24 +335,18 @@ def disjointness_certificate(dist1, dist2, j1, j2, coset1=None, coset2=None, dep
         return DisjointnessVerdict(
             (j1, j2), "INCONCLUSIVE", "identical powers", depth, tails
         )
-    for s in dist2.support():
-        w = j1 * s
-        reason = _excluded(w, j2, dist1, coset1)
-        if reason:
-            witness = (
-                f"{w} = {j1}*{s} lies in {j1}*support(P_{j2}) but not in "
-                f"{j2}*support(P_{j1}): {reason}"
-            )
-            return DisjointnessVerdict((j1, j2), "DISJOINT", witness, depth, tails)
-    for s in dist1.support():
-        w = j2 * s
-        reason = _excluded(w, j1, dist2, coset2)
-        if reason:
-            witness = (
-                f"{w} = {j2}*{s} lies in {j2}*support(P_{j1}) but not in "
-                f"{j1}*support(P_{j2}): {reason}"
-            )
-            return DisjointnessVerdict((j1, j2), "DISJOINT", witness, depth, tails)
+    # a * support(P_b) against b * support(P_a), in both orientations
+    sides = ((j1, j2, dist1, dist2, coset1), (j2, j1, dist2, dist1, coset2))
+    for a, b, dist_a, dist_b, coset_a in sides:
+        for s in dist_b.support():
+            w = a * s
+            reason = _excluded(w, b, dist_a, coset_a)
+            if reason:
+                witness = (
+                    f"{w} = {a}*{s} lies in {a}*support(P_{b}) but not in "
+                    f"{b}*support(P_{a}): {reason}"
+                )
+                return DisjointnessVerdict((j1, j2), "DISJOINT", witness, depth, tails)
     return DisjointnessVerdict(
         (j1, j2),
         "INCONCLUSIVE",
@@ -373,12 +381,8 @@ def certify_powers(profile, pairs, depth=12):
             coset2 = (inv.difference_gcd, d2.support()[0], inv.window)
         v = disjointness_certificate(d1, d2, j1, j2, coset1, coset2, depth)
         if v.disjoint:
-            v = DisjointnessVerdict(
-                v.pair,
-                v.verdict,
-                v.witness + f"; eta bound {inv.eta_bound} gives exponential tails",
-                v.depth,
-                v.tail_bounds,
+            v = replace(
+                v, witness=v.witness + f"; eta bound {inv.eta_bound} gives exponential tails"
             )
         verdicts.append(v)
     return verdicts

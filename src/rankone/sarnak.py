@@ -118,16 +118,14 @@ def orbit_word(dag: BlockDag, spec: OrbitSpec, length):
         raise RangeError("splice suffix longer than the block")
     parts = []
     take = min(spec.splice_suffix, length)
-    if take:
-        parts.append(dag.extract(spec.stage, h - spec.splice_suffix + 1, take))
+    parts.append(dag.extract(spec.stage, h - spec.splice_suffix + 1, take))
     remaining = length - take
     ones = min(spec.splice_ones, remaining)
     parts.append("1" * ones)
     remaining -= ones
-    if remaining:
-        if remaining > h:
-            raise RangeError("splice prefix longer than the block")
-        parts.append(dag.extract(spec.stage, 1, remaining))
+    if remaining > h:
+        raise RangeError("splice prefix longer than the block")
+    parts.append(dag.extract(spec.stage, 1, remaining))
     return "".join(parts)
 
 
@@ -212,9 +210,12 @@ def prime_power_averages(word, cylinder, center, p, q, horizon, grid=None):
 
     With hits h_p, h_q in {0, 1}, (h_p - c)(h_q - c) expands to
     h_p*h_q - c*(h_p + h_q) + c^2: two integer counts, combined exactly only
-    at grid points.  p and q must differ (primes in the intended use); the
-    orbit word must reach max(p, q) * horizon plus the window."""
+    at grid points.  p and q must be distinct and >= 1 (primes in the
+    intended use); the orbit word must reach max(p, q) * horizon plus the
+    window."""
     _check_word(cylinder)
+    if p < 1 or q < 1:
+        raise InputError("p and q must be >= 1")
     if p == q:
         raise InputError("need two different primes")
     center = Fraction(center)

@@ -71,6 +71,12 @@ def test_extract_matches_materialize():
     word = BlockDag(chacon(8)).materialize(6)
     for start, length in [(1, 10), (5, 100), (300, 64), (1, len(word))]:
         assert dag.extract(6, start, length) == word[start - 1 : start - 1 + length]
+    # the empty range may start just past the block's end, but no further
+    assert dag.extract(6, len(word) + 1, 0) == ""
+    with pytest.raises(RangeError):
+        dag.extract(6, len(word) + 2, 0)
+    with pytest.raises(RangeError):
+        dag.extract(6, len(word) + 1, 1)
 
 
 def test_count_examples():
@@ -88,17 +94,20 @@ def test_count_examples():
     st.integers(0, 2**32 - 1),
     st.integers(1, 6),
     st.integers(0, 2**6 - 1),
+    st.sampled_from((1, 2, 8)),
 )
 @settings(max_examples=120, deadline=None)
-def test_count_recursion_equals_naive_scan(seed, wlen, wbits):
-    params = random_bounded_params(random.Random(seed), depth=6)
+def test_count_recursion_equals_naive_scan(seed, wlen, wbits, memo_limit):
+    # spacer runs up to 12 are both longer and shorter than twice the word
+    params = random_bounded_params(random.Random(seed), depth=6, max_spacer=12)
     word = format(wbits, f"0{wlen}b")[:wlen]
     seq = heights(params, params.depth)
     stage = max(n for n in range(1, params.depth + 2) if seq.h(n) <= 100_000)
     if seq.h(stage) < len(word):
         return
-    # memo_limit forced tiny so counting exercises the recursion
-    dag = BlockDag(params, memo_limit=8)
+    # memo_limit forced tiny so counting exercises the recursion, with child
+    # copies both shorter and longer than twice the word
+    dag = BlockDag(params, memo_limit=memo_limit)
     reference = BlockDag(params).materialize(stage)
     assert dag.count_occurrences(word, stage) == count_overlapping(reference, word)
 

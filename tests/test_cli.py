@@ -131,6 +131,10 @@ def test_exit_codes():
     assert main(["classify", "--config", "generalized_chacon:depth=8"]) == 3
     # --cap reaches the scan: no block under 1000 symbols fits lag h_11
     assert main(["verify-pj", "--config", "chacon:depth=30", "-n", "10", "--cap", "1000"]) == 3
+    # j * alpha must lie in (0, 1): power 0 would report a vacuous lag-0 row
+    for power in ("0", "-1"):
+        assert main(["rigid-chacon", "--config", "generalized_chacon:depth=8", "--alpha", "1/2",
+                     "-n", "5", "--powers", power]) == 3
     with pytest.raises(SystemExit) as err:
         main(["not-a-command"])
     assert err.value.code == 2
@@ -228,6 +232,21 @@ def test_suspend_cylinder_observable(tmp_path, capsys):
     Fraction(rows[-1][1])  # exact rational output
 
 
+# each profile document differs from a valid one (pj exits 0 on it) in one field
+VALID_PROFILE = {"lo": 1, "pis": [3] * 12, "etas": [[0, 1, 0]] * 12, "bounded_by": 1}
+MALFORMED_DOCS = {
+    "list.json": [{"family": "chacon", "depth": 5}],
+    "no-lo.json": {"profile": {k: v for k, v in VALID_PROFILE.items() if k != "lo"}},
+    "str-lo.json": {"profile": {**VALID_PROFILE, "lo": "x"}},
+    "bool-lo.json": {"profile": {**VALID_PROFILE, "lo": True}},
+    "str-bound.json": {"profile": {**VALID_PROFILE, "bounded_by": "x"}},
+    "float-bound.json": {"profile": {**VALID_PROFILE, "bounded_by": 2.5}},
+    "no-depth.json": {"family": "chacon"},
+    "str-cut.json": {"family": "custom", "cuts": ["x"], "spacers": [[0, 0]]},
+    "int-cuts.json": {"family": "custom", "cuts": 3, "spacers": [[0, 0]]},
+}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -238,11 +257,27 @@ def test_suspend_cylinder_observable(tmp_path, capsys):
         ["blocks", "--config", "chacon:depth=6", "--stage", "3", "--start", "0"],
         ["rigid-chacon", "--config", "generalized_chacon:depth=8", "--alpha", "1/2", "-n", "5",
          "--powers", "1,x"],
+        ["pj", "--config", "{tmp}/no-lo.json", "-j", "1", "--depth", "3"],
+        ["pj", "--config", "{tmp}/str-lo.json", "-j", "1", "--depth", "3"],
+        ["pj", "--config", "{tmp}/bool-lo.json", "-j", "1", "--depth", "3"],
+        ["pj", "--config", "{tmp}/str-bound.json", "-j", "1", "--depth", "3"],
+        ["pj", "--config", "{tmp}/float-bound.json", "-j", "1", "--depth", "3"],
+        ["heights", "--config", "{tmp}/no-depth.json", "-n", "2"],
+        ["heights", "--config", "{tmp}/str-cut.json", "-n", "1"],
+        ["heights", "--config", "{tmp}/int-cuts.json", "-n", "1"],
+        ["primepair", "--config", "chacon:depth=20", "--observable", "cyl:0", "--N", "100",
+         "-p", "-1", "-q", "3"],
+        ["primepair", "--config", "chacon:depth=20", "--observable", "cyl:0", "--N", "100",
+         "-p", "0", "-q", "3"],
     ],
-    ids=["missing-config", "bad-family-arg", "bad-pairs", "list-config", "start-0", "bad-powers"],
+    ids=["missing-config", "bad-family-arg", "bad-pairs", "list-config", "start-0", "bad-powers",
+         "profile-no-lo", "profile-str-lo", "profile-bool-lo", "profile-str-bound",
+         "profile-float-bound", "family-no-depth", "custom-str-cut", "custom-int-cuts",
+         "primepair-p-negative", "primepair-p-zero"],
 )
 def test_malformed_input_exits_2(tmp_path, capsys, argv):
-    (tmp_path / "list.json").write_text(json.dumps([{"family": "chacon", "depth": 5}]))
+    for name, doc in MALFORMED_DOCS.items():
+        (tmp_path / name).write_text(json.dumps(doc))
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
     assert main(argv + ["--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.startswith("error: ")

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -34,6 +35,12 @@ def random_profile(rng, lo=1, hi=9, max_pi=4, max_eta=3):
         tuple(rng.randint(0, max_eta) for _ in range(p)) for p in pis
     )
     return LimitProfile(lo, pis, etas)
+
+
+def test_profile_doc_roundtrip(rng):
+    bounded = LimitProfile.constant(3, (0, 2, 0), bounded_by=2)
+    for profile in (CHACON_PROFILE, random_profile(rng), bounded):
+        assert LimitProfile.from_doc(json.loads(json.dumps(profile.to_doc()))) == profile
 
 
 def test_value_sets_examples():

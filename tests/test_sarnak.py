@@ -167,6 +167,10 @@ def test_prime_power_input_checks():
     word = orbit_word(dag, OrbitSpec(stage=10), 500)
     with pytest.raises(InputError):
         prime_power_averages(word, "0", Fraction(0), 3, 3, 50)
+    # a step below 1 would read from the word's end (negative start) or stand still
+    for p, q in ((-1, 3), (0, 3), (2, 0)):
+        with pytest.raises(InputError):
+            prime_power_averages(word, "0", Fraction(0), p, q, 50)
     with pytest.raises(RangeError):
         prime_power_averages(word, "0", Fraction(0), 2, 3, 400)
 
