@@ -63,10 +63,10 @@ from .correlations import (
 from .sarnak import (
     OrbitSpec,
     cylinder_sarnak_averages,
+    eigen_suspension_averages,
     mertens,
     mobius_sieve,
     orbit_word,
     partial_averages,
     prime_power_averages,
-    suspension_values,
 )

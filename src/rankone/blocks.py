@@ -66,7 +66,7 @@ class BlockDag:
     def __init__(self, params: ConstructionParams, cap=DEFAULT_CAP, memo_limit=1 << 17):
         self.params = params
         self.cap = cap
-        self.memo_limit = min(memo_limit, cap)
+        self.memo_limit = max(1, min(memo_limit, cap))  # every descent ends at B_1
         self._heights = (0,) + heights(params, params.depth).heights
         self._layout = (None, None) + tuple(
             (list(accumulate((h + s for s in row[:-1]), initial=0)), row)
@@ -295,13 +295,12 @@ def spacer_order(dag, n, position):
     raise InputError("reached the base block; position was not a spacer")
 
 
-def block_occurrence(dag, word, max_stage=None):
+def block_occurrence(dag, word):
     """Leftmost occurrence (stage, 1-based offset) in the smallest block
     containing `word`, scanning materializable stages only; None if not found
-    (inconclusive beyond the cap / stage bound)."""
+    (inconclusive beyond the cap)."""
     _check_word(word)
-    top = min(max_stage or dag.max_stage, dag.max_stage)
-    for m in range(1, top + 1):
+    for m in range(1, dag.max_stage + 1):
         if dag.height(m) < len(word):
             continue
         if dag.height(m) > dag.cap:
@@ -417,7 +416,7 @@ def _greedy_string_cover(dag, region, base_pos, ell):
     return taken
 
 
-def abc_decompose(dag, word, eps, ell, occurrence=None, search_stage_bound=None):
+def abc_decompose(dag, word, eps, ell, occurrence=None):
     """Split a subshift window as A + (one spacer run) + C with a block cover.
 
     A and C are covered by disjoint canonical blocks of stage >= ell; B holds
@@ -431,7 +430,7 @@ def abc_decompose(dag, word, eps, ell, occurrence=None, search_stage_bound=None)
     if eps <= 0 or ell < 1:
         raise InputError("need eps > 0 and ell >= 1")
     if occurrence is None:
-        occurrence = block_occurrence(dag, word, search_stage_bound)
+        occurrence = block_occurrence(dag, word)
 
     if occurrence is None:
         # not found in any materializable block: best-effort decomposition

@@ -38,15 +38,12 @@ from .limits import (
 )
 from .odometer import cocycle_distribution
 from .sarnak import (
-    EigenObservable,
     OrbitSpec,
     cylinder_sarnak_averages,
-    floor_means,
+    eigen_suspension_averages,
     mobius_sieve,
     orbit_word,
-    partial_averages,
     prime_power_averages,
-    suspension_values,
 )
 
 ENV_OUT = "RANKONE_OUT"
@@ -524,15 +521,17 @@ def cmd_primepair(run):
 def cmd_suspend(run):
     dag = _load_dag(run)
     kind, payload = _parse_observable(run.args.observable)
-    spec = _orbit_spec(run.args, floors=run.args.K)
-    horizon = run.args.N
+    K, horizon = run.args.K, run.args.N
+    spec = _orbit_spec(run.args, floors=K)
     if kind == "eigen":
+        # the eigenfunction reads only the floor, but the orbit must stay in B_stage
+        orbit_word(dag, spec, (spec.start_floor + horizon) // K + 2)
         mu = mobius_sieve(horizon)
-        values = suspension_values(dag, spec, EigenObservable(run.args.K, payload), horizon)
-        rows = partial_averages(values, mu, horizon)
+        rows = eigen_suspension_averages(K, payload, mu, horizon, spec.start_floor)
         _write_averages(run, "suspend.csv", rows, lambda z: f"{z.real:.17g}{z.imag:+.17g}i")
     else:
-        centers = floor_means(dag, spec.stage, payload, run.args.K)
+        # the floors are measure-uniform: every floor is centered by the block frequency
+        centers = [dag.frequency(payload, spec.stage).frequency] * K
         rows = _cylinder_averages(dag, spec, payload, centers, horizon)
         _write_averages(run, "suspend.csv", rows)
     print(f"final |average| at N={rows[-1][0]}: {float(abs(rows[-1][1])):.3e}")

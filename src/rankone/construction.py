@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 
 from .errors import InputError, RangeError
 
@@ -131,23 +132,15 @@ def heights(params: ConstructionParams, n: int) -> HeightSequence:
     return HeightSequence(tuple(hs), tuple(qs))
 
 
-def finite_measure_partial_sums(params, n, threshold=Fraction(1, 1000)):
+def finite_measure_partial_sums(params, n):
     """Partial sums of sum_k (1/h_{k+1}) * sum_i s_{k,i}, exact rationals.
 
     The returned flag is a prefix heuristic only (last increment below
-    `threshold`); convergence of the series is not decidable from a prefix.
+    1/1000); convergence of the series is not decidable from a prefix.
     """
     seq = heights(params, n)
-    sums = []
-    acc = Fraction(0)
-    last_inc = None
-    for k in range(1, n + 1):
-        inc = Fraction(sum(params.spacer_row(k)), seq.h(k + 1))
-        acc += inc
-        sums.append(acc)
-        last_inc = inc
-    converged_hint = last_inc is not None and last_inc < threshold
-    return sums, converged_hint
+    incs = [Fraction(sum(params.spacer_row(k)), seq.h(k + 1)) for k in range(1, n + 1)]
+    return list(accumulate(incs)), incs[-1] < Fraction(1, 1000)
 
 
 def spacer_stats(params, n):
@@ -188,7 +181,7 @@ def generalized_chacon(depth, cuts=None, spacer_index=0):
     """One spacer per stage at a chosen column, cuts growing to infinity.
 
     Default schedule p_n = 2n + 2; `spacer_index` is an int, the string
-    "last", or a per-stage sequence."""
+    "last", or a sequence with one index per stage."""
     if cuts is None:
         cuts = tuple(2 * n + 2 for n in range(1, depth + 1))
         generated = True
@@ -197,6 +190,8 @@ def generalized_chacon(depth, cuts=None, spacer_index=0):
         if len(cuts) != depth:
             raise InputError("need one cut per stage")
         generated = all(a < b for a, b in zip(cuts, cuts[1:]))
+    if not isinstance(spacer_index, (int, str)) and len(spacer_index) != depth:
+        raise InputError("need one spacer index per stage")
     rows = []
     for n, p in enumerate(cuts, start=1):
         if isinstance(spacer_index, str):
@@ -244,13 +239,12 @@ def json_ints(value, what, nesting=1):
     return tuple(json_ints(v, what, nesting - 1) for v in value)
 
 
-def _expand_custom(doc):
+def _expand_custom(doc, gen):
     cuts = json_ints(doc.get("cuts", []), "cuts")
     spacers = json_ints(doc.get("spacers", []), "spacers", 2)
     if len(cuts) != len(spacers):
         raise InputError("cuts and spacers must have the same number of stages")
     depth = json_ints(doc.get("depth", len(cuts)), "depth", 0)
-    gen = doc.get("generator", {}) or {}
     rule = gen.get("rule", "periodic" if depth > len(cuts) else "none")
     if depth > len(cuts):
         if rule != "periodic":
@@ -268,11 +262,13 @@ def _expand_custom(doc):
 def expand_family(doc) -> ConstructionParams:
     """Deterministically expand a construction document to an explicit prefix."""
     family = doc.get("family", "custom")
+    gen = doc.get("generator", {})
+    if not isinstance(gen, dict):
+        raise InputError(f"generator: expected an object, got {gen!r}")
     if family == "custom":
-        return _expand_custom(doc)
+        return _expand_custom(doc, gen)
     if family not in FAMILIES:
         raise InputError(f"unknown family {family!r}")
-    gen = doc.get("generator", {}) or {}
     cuts = doc.get("cuts") or gen.get("cuts")
     if family == "katok" and cuts:
         return katok(cuts=json_ints(cuts, "cuts"))
@@ -284,8 +280,8 @@ def expand_family(doc) -> ConstructionParams:
     if family == "katok":
         return katok(depth=depth)
     idx = gen.get("spacer_index", 0)
-    if isinstance(idx, list):
-        idx = tuple(idx)
+    if idx != "last":
+        idx = json_ints(idx, "spacer_index", 1 if isinstance(idx, list) else 0)
     cuts = None if cuts is None else json_ints(cuts, "cuts")
     return generalized_chacon(depth, cuts=cuts, spacer_index=idx)
 
@@ -304,6 +300,8 @@ def load_construction(source) -> ConstructionParams:
         doc = {"family": name}
         for item in filter(None, rest.split(",")):
             key, _, value = item.partition("=")
+            if key != "depth" or key in doc:
+                raise InputError(f"{name}: takes one key, depth=<integer>; got {item!r}")
             try:
                 doc[key] = int(value)
             except ValueError as exc:

@@ -198,13 +198,13 @@ def verify_rigid_one_spacer(params, alpha, stage, pairs, powers=(1,), scan_stage
     ]
 
 
-def _shift_window(params, alpha, stage, slack):
-    """h_n, the target alpha*p_n/2, the slack and the five multiples of
-    h_n + 1 nearest the target."""
+def _shift_window(params, alpha, stage):
+    """h_n, the target alpha*p_n/2, the slack round(p_n^{3/4}) and the five
+    multiples of h_n + 1 nearest the target."""
     h = heights(params, stage).h(stage)
     p = params.cut(stage)
     target = alpha * p / 2
-    slack = slack if slack is not None else int(round(p ** 0.75))
+    slack = int(round(p ** 0.75))
     modulus = h + 1
     center = int(target / modulus + Fraction(1, 2)) * modulus
     cands = sorted(
@@ -213,9 +213,9 @@ def _shift_window(params, alpha, stage, slack):
     return h, target, slack, cands
 
 
-def half_spacer_shift_candidates(params, alpha, stage, slack=None):
+def half_spacer_shift_candidates(params, alpha, stage):
     """Admissible shift counts: multiples of h_n + 1 within slack of alpha*p_n/2."""
-    _, target, slack, cands = _shift_window(params, Fraction(alpha), stage, slack)
+    _, target, slack, cands = _shift_window(params, Fraction(alpha), stage)
     return [c for c in cands if abs(c - target) <= slack], cands, slack
 
 
@@ -228,20 +228,19 @@ def verify_half_spacer_mixing(
     sample_budget=1_000_000,
     seed=0,
     scan_stage=None,
-    slack=None,
     dag=None,
 ):
     """Half-spacered family: sampled corr(lag shift*h_n) vs
     alpha*freq(A)*freq(B) + (1-alpha)*corr(0).
 
     The shift count must be a positive multiple of h_n + 1 and sit within the slack
-    window (default p_n^{3/4}) of alpha*p_n/2; otherwise the nearest valid
+    window p_n^{3/4} of alpha*p_n/2; otherwise the nearest valid
     candidates are reported in a refusal."""
     alpha = Fraction(alpha)
     if not 0 < alpha < 1:
         raise InputError("alpha must lie strictly between 0 and 1")
     dag = dag or BlockDag(params)
-    h, target, slack, cands = _shift_window(params, alpha, stage, slack)
+    h, target, slack, cands = _shift_window(params, alpha, stage)
     if shift_count < 1 or shift_count % (h + 1) != 0 or abs(shift_count - target) > slack:
         raise Refusal(
             f"shift {shift_count} must be a positive multiple of h_{stage}+1 = {h + 1} within "

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd
 
-from .construction import ConstructionParams, json_ints
+from .construction import json_ints
 from .construction import heights as _heights
 from .errors import InputError, RangeError, Refusal
 from .odometer import IntegerDistribution, _window_distribution
@@ -91,15 +91,6 @@ class LimitProfile:
     def constant(cls, pi, eta, lo=-4, hi=16, bounded_by=None):
         count = hi - lo + 1
         return cls(lo, (pi,) * count, (tuple(eta),) * count, bounded_by)
-
-    @classmethod
-    def from_params(cls, params: ConstructionParams, center, lo, hi):
-        """Window read off the explicit prefix around stage `center`."""
-        if center + lo < 1 or center + hi > params.depth:
-            raise RangeError("window leaves the available prefix")
-        pis = tuple(params.cut(center + m) for m in range(lo, hi + 1))
-        etas = tuple(params.spacer_row(center + m) for m in range(lo, hi + 1))
-        return cls(lo, pis, etas)
 
     def window_rows(self, a, b):
         return tuple((self.pi(m), self.eta(m)) for m in range(a, b + 1))
@@ -194,7 +185,6 @@ def spacer_value_sets(profile, m):
 @dataclass(frozen=True)
 class ProfileInvariants:
     non_flat: bool
-    bounded_recurrent: bool
     eta_bound: int
     difference_gcd: int  # None when every difference set is {0}
     window: tuple
@@ -206,32 +196,28 @@ def profile_invariants(profile):
     for m in range(profile.lo, profile.hi):
         _, diffs = spacer_value_sets(profile, m)
         nonzero |= {abs(d) for d in diffs if d}
-    d_inf = None
-    if nonzero:
-        d_inf = 0
-        for d in nonzero:
-            d_inf = gcd(d_inf, d)
     return ProfileInvariants(
         non_flat=bool(nonzero),
-        bounded_recurrent=True,  # finite window; bound reported alongside
         eta_bound=profile.eta_bound(),
-        difference_gcd=d_inf,
+        difference_gcd=gcd(*nonzero) if nonzero else None,
         window=(profile.lo, profile.hi),
     )
 
 
-def limit_distribution(profile, j, depth, method="convolution", close_tail=False):
+def limit_distribution(profile, j, depth, close_tail=False):
     """Law of the j-fold centered cocycle sum for the limit parameters.
 
     Enumerates window indices 1..depth exactly; tail mass <= j * 2^-depth.
     With close_tail=True (j = 1, constant window whose full-column spacer sum
     vanishes) the geometric tail is summed analytically and the tail is 0."""
+    if depth < 1:
+        raise InputError("need depth >= 1")
     if profile.lo > 1 or profile.hi < depth:
         raise RangeError(f"window must cover [1, {depth}]")
-    dist = _window_distribution(profile.window_rows(1, depth), j, method)
+    rows = profile.window_rows(1, depth)
+    dist = _window_distribution(rows, j, "convolution")
     if not close_tail:
         return dist
-    rows = profile.window_rows(1, depth)
     if j != 1:
         raise Refusal("analytic tail summation implemented for j = 1 only")
     if any(r != rows[0] for r in rows):

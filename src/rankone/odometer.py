@@ -198,13 +198,6 @@ class IntegerDistribution:
         items = tuple(sorted((int(v), Fraction(m)) for v, m in mapping.items() if m))
         return cls(items, Fraction(tail))
 
-    @classmethod
-    def delta(cls, value=0):
-        return cls(((value, Fraction(1)),))
-
-    def as_dict(self):
-        return dict(self.masses)
-
     def support(self):
         return tuple(v for v, _ in self.masses)
 

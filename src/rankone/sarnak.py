@@ -8,10 +8,11 @@ Decay is reported, never "verified": the vanishing of these averages is an
 asymptotic statement, so acceptance rests on recorded regression baselines
 and trend diagnostics, not on the conjecture.
 
-The K-floor suspension pairs each orbit position with a cyclic floor index,
-modelling a finite cyclic group of eigenvalues with continuous
-eigenfunctions; observables split into per-floor cylinder functions, and the
-floorwise means can be subtracted exactly.
+The K-floor suspension pairs step n with floor (start_floor + n) % K and
+base position (start_floor + n) // K, modelling a finite cyclic group of
+eigenvalues.  An eigenfunction of the floor rotation depends on the floor
+alone; a cylinder observable reads the base word and is centered floor by
+floor inside the integer-count accumulator.
 """
 
 from __future__ import annotations
@@ -32,10 +33,7 @@ __all__ = [
     "partial_averages",
     "cylinder_sarnak_averages",
     "prime_power_averages",
-    "suspension_values",
-    "EigenObservable",
-    "FloorCylinderObservable",
-    "floor_means",
+    "eigen_suspension_averages",
 ]
 
 
@@ -239,52 +237,12 @@ def prime_power_averages(word, cylinder, center, p, q, horizon, grid=None):
 # ----------------------------------------------------------------------------
 
 
-def suspension_values(dag, spec: OrbitSpec, observable, horizon):
-    """Values of a floor-aware observable along the suspension orbit.
+def eigen_suspension_averages(K, power, mu, horizon, start_floor=0):
+    """Mobius averages of the floor-rotation eigenfunction exp(2*pi*i*power*f/K).
 
-    Step n sits on floor (start_floor + n) mod K with the base advanced by
-    (start_floor + n) // K.  `observable` maps (word, base_position, floor)
-    to a value; base positions are 0-based into the orbit word."""
-    K = spec.floors
-    base_steps = (spec.start_floor + horizon) // K
-    word = orbit_word(dag, spec, base_steps + getattr(observable, "window", 1) + 1)
-    values = [None] * (horizon + 1)
-    for n in range(1, horizon + 1):
-        total = spec.start_floor + n
-        values[n] = observable(word, total // K, total % K)
-    return values
-
-
-class EigenObservable:
-    """Pure eigenfunction of the floor rotation: value exp(2*pi*i*j*floor/K)."""
-
-    window = 1
-
-    def __init__(self, K, power=1):
-        self.K = K
-        self.power = power
-        self._table = [cmath.exp(2j * cmath.pi * power * i / K) for i in range(K)]
-
-    def __call__(self, word, base_pos, floor):
-        return self._table[floor]
-
-
-class FloorCylinderObservable:
-    """Cylinder indicator on selected floors, with exact per-floor centering."""
-
-    def __init__(self, cylinder, floor_centers):
-        _check_word(cylinder)
-        self.cylinder = cylinder
-        self.window = len(cylinder)
-        self.floor_centers = [Fraction(c) for c in floor_centers]
-
-    def __call__(self, word, base_pos, floor):
-        hit = int(word.startswith(self.cylinder, base_pos))
-        return hit - self.floor_centers[floor]
-
-
-def floor_means(dag, stage, cylinder, K):
-    """Per-floor means of a cylinder indicator under the product measure:
-    the block frequency on every floor (the floors are measure-uniform)."""
-    f = dag.frequency(cylinder, stage).frequency
-    return [f] * K
+    Step n sits on floor f = (start_floor + n) % K of the K-floor suspension
+    orbit; the eigenfunction reads the floor alone, never the orbit word."""
+    if K < 1 or not 0 <= start_floor < K:
+        raise InputError("need K >= 1 and 0 <= start_floor < K")
+    table = [cmath.exp(2j * cmath.pi * power * f / K) for f in range(K)]
+    return partial_averages(lambda n: table[(start_floor + n) % K], mu, horizon)

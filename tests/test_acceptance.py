@@ -48,14 +48,7 @@ from rankone.odometer import (
     g_function,
     spacer_cocycle,
 )
-from rankone.sarnak import (
-    EigenObservable,
-    OrbitSpec,
-    mertens,
-    mobius_sieve,
-    partial_averages,
-    suspension_values,
-)
+from rankone.sarnak import eigen_suspension_averages, mertens, mobius_sieve
 
 CHACON_PROFILE = LimitProfile.constant(3, (0, 1, 0), lo=-4, hi=16)
 ZERO_PROFILE = LimitProfile.constant(2, (0, 0), lo=-4, hi=16)
@@ -491,10 +484,7 @@ def test_criterion_11_mobius_suite():
     ok = all(mu[n] == _mu_by_factorization(n) for n in range(1, 100_001))
     total = mertens(mu)
     ok = ok and total == 212
-    dag = BlockDag(chacon(30))
-    spec = OrbitSpec(stage=15, offset=1, floors=3, start_floor=0)
-    values = suspension_values(dag, spec, EigenObservable(3, 1), 1_000_000)
-    final = partial_averages(values, mu, 1_000_000)[-1][1]
+    final = eigen_suspension_averages(3, 1, mu, 10**6)[-1][1]
     ok = ok and abs(final) <= 0.01
     report(
         "criterion 11: sieve to 1e5, Mertens(1e6) = 212, periodic average",

@@ -71,6 +71,9 @@ def test_extract_matches_materialize():
     word = BlockDag(chacon(8)).materialize(6)
     for start, length in [(1, 10), (5, 100), (300, 64), (1, len(word))]:
         assert dag.extract(6, start, length) == word[start - 1 : start - 1 + length]
+    # extraction materializes nothing, so a cap below 1 does not stop it
+    for cap in (0, -1):
+        assert BlockDag(chacon(8), cap=cap).extract(6, 5, 100) == word[4:104]
     # the empty range may start just past the block's end, but no further
     assert dag.extract(6, len(word) + 1, 0) == ""
     with pytest.raises(RangeError):

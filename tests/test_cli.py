@@ -6,6 +6,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import rankone
 from rankone.cli import main, replay_manifest, run_argv
@@ -232,6 +234,16 @@ def test_suspend_cylinder_observable(tmp_path, capsys):
     Fraction(rows[-1][1])  # exact rational output
 
 
+def test_suspend_eigen_orbit_leaving_block_exits_2(tmp_path, capsys):
+    # the eigenfunction reads no symbol, yet steps 1..30 on 3 floors move the
+    # base from offset 115 past h_5 = 121: the orbit leaves B_5
+    argv = ["suspend", "--config", "chacon:depth=12", "--K", "3", "--observable", "eigen:1",
+            "--N", "30", "--stage", "5", "--out", str(tmp_path)]
+    assert main(argv + ["--offset", "115"]) == 2
+    assert "leaves B_5" in capsys.readouterr().err
+    assert main(argv + ["--offset", "110"]) == 0
+
+
 # each profile document differs from a valid one (pj exits 0 on it) in one field
 VALID_PROFILE = {"lo": 1, "pis": [3] * 12, "etas": [[0, 1, 0]] * 12, "bounded_by": 1}
 MALFORMED_DOCS = {
@@ -244,6 +256,15 @@ MALFORMED_DOCS = {
     "no-depth.json": {"family": "chacon"},
     "str-cut.json": {"family": "custom", "cuts": ["x"], "spacers": [[0, 0]]},
     "int-cuts.json": {"family": "custom", "cuts": 3, "spacers": [[0, 0]]},
+    "list-generator.json": {"family": "chacon", "depth": 3, "generator": [1]},
+    "str-generator.json": {"family": "custom", "cuts": [2], "spacers": [[0, 0]],
+                           "generator": "x"},
+    **{
+        f"spacer-index-{name}.json": {"family": "generalized_chacon", "depth": 3,
+                                      "generator": {"spacer_index": idx}}
+        for name, idx in (("str-entry", ["x", 0, 0]), ("short", [0]), ("float", 2.5),
+                          ("object", {"a": 1}), ("bool", True))
+    },
 }
 
 
@@ -265,6 +286,15 @@ MALFORMED_DOCS = {
         ["heights", "--config", "{tmp}/no-depth.json", "-n", "2"],
         ["heights", "--config", "{tmp}/str-cut.json", "-n", "1"],
         ["heights", "--config", "{tmp}/int-cuts.json", "-n", "1"],
+        ["heights", "--config", "{tmp}/list-generator.json", "-n", "1"],
+        ["heights", "--config", "{tmp}/str-generator.json", "-n", "1"],
+        ["heights", "--config", "{tmp}/spacer-index-str-entry.json", "-n", "1"],
+        ["heights", "--config", "{tmp}/spacer-index-short.json", "-n", "1"],
+        ["heights", "--config", "{tmp}/spacer-index-float.json", "-n", "1"],
+        ["heights", "--config", "{tmp}/spacer-index-object.json", "-n", "1"],
+        ["heights", "--config", "{tmp}/spacer-index-bool.json", "-n", "1"],
+        ["heights", "--config", "chacon:dept=30", "-n", "1"],
+        ["heights", "--config", "vnk:depth=3,spacer_index=2", "-n", "1"],
         ["primepair", "--config", "chacon:depth=20", "--observable", "cyl:0", "--N", "100",
          "-p", "-1", "-q", "3"],
         ["primepair", "--config", "chacon:depth=20", "--observable", "cyl:0", "--N", "100",
@@ -273,6 +303,9 @@ MALFORMED_DOCS = {
     ids=["missing-config", "bad-family-arg", "bad-pairs", "list-config", "start-0", "bad-powers",
          "profile-no-lo", "profile-str-lo", "profile-bool-lo", "profile-str-bound",
          "profile-float-bound", "family-no-depth", "custom-str-cut", "custom-int-cuts",
+         "list-generator", "str-generator", "spacer-index-str-entry", "spacer-index-short",
+         "spacer-index-float", "spacer-index-object", "spacer-index-bool", "family-unknown-key",
+         "family-extra-key",
          "primepair-p-negative", "primepair-p-zero"],
 )
 def test_malformed_input_exits_2(tmp_path, capsys, argv):
@@ -281,3 +314,99 @@ def test_malformed_input_exits_2(tmp_path, capsys, argv):
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
     assert main(argv + ["--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+# -- argv fuzzing ---------------------------------------------------------------
+
+
+def _ints(lo, hi):
+    return st.integers(lo, hi).map(str)
+
+
+SMALL = _ints(-2, 9)
+WORDS = st.sampled_from(["0", "1", "01", "10", "0,1", "110"])
+PAIRS = st.sampled_from(["0:0", "0:1", "1:0", "01:10", "0", "0:1,1:1"])
+RATIONAL = st.sampled_from(["1/2", "1/3", "2/3", "0", "1", "-1/2", "1/0"])
+OBSERVABLE = st.sampled_from(["cyl:0", "cyl:01", "cyl:", "cyl:2", "eigen:1", "eigen:2",
+                              "eigen:", "eigen:x", "sin:1"])
+TWO = st.lists(SMALL, min_size=2, max_size=2)
+FLAG = st.just([])  # a bare flag takes no value
+JUNK = st.sampled_from(["x", "", "1/2", "0:1", "1..3", "2.5", "-0", "1e3"])
+
+# every construction has depth <= 8, and every count is bounded by the
+# strategies below, so one example runs in milliseconds
+FUZZ_CONFIGS = [f"{name}:depth={d}" for name, top in
+                (("chacon", 8), ("vnk", 8), ("generalized_chacon", 5), ("katok", 4))
+                for d in range(top, 0, -1)] + ["chacon:depth=0", "chacon:size=3", "nope"]
+
+ORBIT = {"--N": _ints(-2, 300), "--stage": SMALL, "--offset": SMALL}
+# subcommand -> (required options, optional options)
+FUZZ_COMMANDS = {
+    "heights": ({"-n": SMALL}, {}),
+    "blocks": ({"--stage": SMALL}, {"--start": SMALL, "--length": _ints(-2, 2000)}),
+    "freq": ({"--stage": SMALL}, {"--words": WORDS, "--maxlen": _ints(-2, 4)}),
+    "cocycle": ({"-n": SMALL}, {"-j": _ints(-1, 3), "--depth": _ints(-1, 6),
+                                "--method": st.sampled_from(["convolution", "enumerate"])}),
+    "pj": ({}, {"-j": _ints(-1, 3), "--depth": _ints(-1, 8), "--close-tail": FLAG}),
+    "profile": ({}, {"--window": TWO, "--range": TWO}),
+    "certify": ({}, {"--pairs": st.sampled_from(["1..3", "1:2", "2:2", "1:0", "3..1"]),
+                     "--depth": _ints(-1, 8)}),
+    "classify": ({}, {"--range": TWO, "--max-order": _ints(-1, 12)}),
+    "eigen": ({}, {"--range": TWO, "--max-order": _ints(-1, 12)}),
+    "correlate": ({"--stage": SMALL, "--w1": WORDS, "--w2": WORDS, "--lag": _ints(-2, 300)},
+                  {"--method": st.sampled_from(["exact", "sampled"]),
+                   "--samples": _ints(-1, 50), "--seed": SMALL}),
+    "verify-pj": ({"-n": SMALL}, {"-j": _ints(-1, 3), "--cylinders": PAIRS,
+                                  "--depth": _ints(-1, 6), "--scan-stage": SMALL}),
+    "rigid-chacon": ({"--alpha": RATIONAL, "-n": SMALL},
+                     {"--cylinders": PAIRS, "--scan-stage": SMALL,
+                      "--powers": st.sampled_from(["1", "1,2", "0", "-1", "1,x"])}),
+    "katok": ({"--alpha": RATIONAL, "-n": SMALL, "--ell": _ints(-1, 60),
+               "--samples": _ints(-1, 50)},
+              {"--cylinders": PAIRS, "--seed": SMALL, "--scan-stage": SMALL}),
+    "sarnak": ({"--observable": OBSERVABLE, **ORBIT},
+               {"--center": FLAG, "--center-value": RATIONAL, "--splice-suffix": SMALL,
+                "--splice-ones": SMALL}),
+    "primepair": ({"--observable": OBSERVABLE, "-p": SMALL, "-q": SMALL, **ORBIT},
+                  {"--center-value": RATIONAL}),
+    "suspend": ({"--observable": OBSERVABLE, "--K": SMALL, **ORBIT}, {"--i0": SMALL}),
+}
+COMMON = {"--cap": st.sampled_from(["0", "1", "50", "1000", "-1"]),
+          "--format": st.sampled_from(["csv", "json"])}
+
+
+@st.composite
+def fuzz_argv(draw):
+    command = draw(st.sampled_from(sorted(FUZZ_COMMANDS)))
+    required, optional = FUZZ_COMMANDS[command]
+    optional = {**optional, **COMMON}
+    flags = list(required) + draw(st.lists(st.sampled_from(sorted(optional)), unique=True,
+                                           max_size=3))
+    options = []
+    for flag in flags:
+        value = draw({**required, **optional}[flag])
+        options.append([flag, *value] if isinstance(value, list) else [flag, value])
+    # now and then one malformation: a junk value, a dropped option or a stray token
+    fault = draw(st.sampled_from([None] * 5 + ["junk", "drop", "stray"]))
+    if fault and options:
+        i = draw(st.integers(0, len(options) - 1))
+        if fault == "junk":
+            options[i] = [options[i][0], draw(JUNK)]
+        elif fault == "drop":
+            del options[i]
+        else:
+            options.append([draw(st.sampled_from(["--bogus", "7", "-h"]))])
+    return [command, "--config", draw(st.sampled_from(FUZZ_CONFIGS))] + sum(options, [])
+
+
+@settings(max_examples=500, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=fuzz_argv())
+def test_argv_fuzz_exit_codes(tmp_path, argv):
+    # every outcome is an exit code: 0 success, 2 input error, 3 refusal;
+    # argparse's SystemExit counts, any other exception fails the test
+    try:
+        code = main(argv + ["--out", str(tmp_path)])
+    except SystemExit as exc:
+        code = exc.code
+    assert code in (0, 2, 3), argv

@@ -8,19 +8,17 @@ import pytest
 from rankone.blocks import BlockDag, abc_decompose
 from rankone.construction import chacon, von_neumann_kakutani
 from rankone.errors import InputError, RangeError
+from rankone.cli import run_argv
 from rankone.sarnak import (
-    EigenObservable,
-    FloorCylinderObservable,
     OrbitSpec,
     cylinder_sarnak_averages,
-    floor_means,
+    eigen_suspension_averages,
     geometric_grid,
     mertens,
     mobius_sieve,
     orbit_word,
     partial_averages,
     prime_power_averages,
-    suspension_values,
 )
 
 MU_FIRST_TEN = [1, -1, -1, 0, -1, 1, -1, 0, 0, 1]
@@ -104,25 +102,21 @@ def test_cylinder_counts_match_per_step_reference(K):
     centers = [Fraction(2, 3), Fraction(1, 5), Fraction(0)][:K]
     for start_floor in range(K):
         spec = OrbitSpec(stage=10, offset=3, floors=K, start_floor=start_floor)
-        reference = partial_averages(
-            suspension_values(dag, spec, FloorCylinderObservable("01", centers), horizon),
-            mu,
-            horizon,
-        )
         word = orbit_word(dag, spec, (start_floor + horizon) // K + 3)
+
+        def centered_hit(n):
+            # step n: floor (start_floor + n) % K, base position (start_floor + n) // K
+            base, floor = divmod(start_floor + n, K)
+            return int(word.startswith("01", base)) - centers[floor]
+
         rows = cylinder_sarnak_averages(
             word, "01", centers if K > 1 else centers[0], mu, horizon, start_floor=start_floor
         )
-        assert rows == reference
+        assert rows == partial_averages(centered_hit, mu, horizon)
         grid = [1, 2, 50, 699, 700]
         assert cylinder_sarnak_averages(
             word, "01", centers, mu, horizon, grid=grid, start_floor=start_floor
-        ) == partial_averages(
-            suspension_values(dag, spec, FloorCylinderObservable("01", centers), horizon),
-            mu,
-            horizon,
-            grid=grid,
-        )
+        ) == partial_averages(centered_hit, mu, horizon, grid=grid)
 
 
 def test_prime_power_counts_match_per_step_fractions():
@@ -218,34 +212,56 @@ def test_spliced_window_abc_consistency():
     assert word[len(dec.a) : len(dec.a) + 9] == "1" * 9
 
 
+def _eigen_value_at(K, power, n, start_floor=0):
+    """Value at step n, read off the final average with a unit weight on n alone."""
+    weights = [0] * (n + 1)
+    weights[n] = 1
+    return eigen_suspension_averages(K, power, weights, n, start_floor)[-1][1] * n
+
+
 def test_suspension_floor_arithmetic():
-    dag = BlockDag(chacon(12))
-    spec = OrbitSpec(stage=8, offset=1, floors=3, start_floor=1)
-    obs = EigenObservable(3, 1)
-    values = suspension_values(dag, spec, obs, 9)
-    expected = [cmath.exp(2j * cmath.pi * ((1 + n) % 3) / 3) for n in range(1, 10)]
-    assert values[1:] == expected
+    # step n sits on floor (start_floor + n) % K
+    for n in range(1, 10):
+        expected = cmath.exp(2j * cmath.pi * ((1 + n) % 3) / 3)
+        assert _eigen_value_at(3, 1, n, start_floor=1) == pytest.approx(expected)
+    mu = mobius_sieve(9)
+    rows = eigen_suspension_averages(3, 1, mu, 9, start_floor=1)
+    assert [n for n, _ in rows] == geometric_grid(9)
+    for point, average in rows:
+        total = sum(mu[n] * cmath.exp(2j * cmath.pi * ((1 + n) % 3) / 3)
+                    for n in range(1, point + 1))
+        assert average == pytest.approx(total / point)
+    for K, start_floor in ((0, 0), (3, 3), (3, -1)):
+        with pytest.raises(InputError):
+            eigen_suspension_averages(K, 1, mu, 9, start_floor)
 
 
 def test_suspension_eigen_power_and_k1():
-    dag = BlockDag(chacon(12))
-    obs = EigenObservable(4, 2)
-    spec = OrbitSpec(stage=8, offset=1, floors=4)
-    values = suspension_values(dag, spec, obs, 8)
-    assert values[2] == pytest.approx(cmath.exp(2j * cmath.pi * 2 * 2 / 4))
-    plain = OrbitSpec(stage=8, offset=1, floors=1)
-    cyl = FloorCylinderObservable("0", [Fraction(0)])
-    vals = suspension_values(dag, plain, cyl, 20)
-    word = orbit_word(dag, plain, 22)
-    assert all(vals[n] == int(word[n] == "0") for n in range(1, 21))
+    assert _eigen_value_at(4, 2, 2) == pytest.approx(cmath.exp(2j * cmath.pi * 2 * 2 / 4))
+    assert _eigen_value_at(4, 2, 3) == pytest.approx(-1)
+    # one floor: the eigenfunction is the constant 1, so the averages are Mertens / N'
+    mu = mobius_sieve(200)
+    for point, average in eigen_suspension_averages(1, 5, mu, 200):
+        assert average == pytest.approx(mertens(mu, point) / point)
 
 
-def test_floor_centering_integrates_to_zero():
-    dag = BlockDag(chacon(12))
-    K = 3
-    centers = floor_means(dag, 10, "0", K)
-    obs = FloorCylinderObservable("0", centers)
-    mean = sum(
-        (dag.frequency("0", 10).frequency - c) * Fraction(1, K) for c in obs.floor_centers
+def test_floor_centering_integrates_to_zero(tmp_path):
+    # suspend cyl: centers every floor by the block frequency, so the centered
+    # observable has mean zero under the product of the block measure and the
+    # uniform floor measure; the CSV is the accumulator with those centers
+    K, stage, horizon = 3, 10, 600
+    code, _ = run_argv(
+        ["suspend", "--config", "chacon:depth=12", "--K", str(K), "--observable", "cyl:0",
+         "--N", str(horizon), "--stage", str(stage), "--i0", "2", "--out", str(tmp_path)]
     )
-    assert mean == 0
+    assert code == 0
+    dag = BlockDag(chacon(12))
+    freq = dag.frequency("0", stage).frequency
+    centers = [freq] * K
+    assert sum((freq - c) * Fraction(1, K) for c in centers) == 0
+    spec = OrbitSpec(stage=stage, floors=K, start_floor=2)
+    word = orbit_word(dag, spec, (2 + horizon) // K + 2)
+    rows = cylinder_sarnak_averages(word, "0", centers, mobius_sieve(horizon), horizon,
+                                    start_floor=2)
+    lines = (tmp_path / "suspend.csv").read_text().splitlines()
+    assert lines[1:] == [f"{n},{v.numerator}/{v.denominator}" for n, v in rows]
