@@ -3,8 +3,9 @@
 B_1 = "0" and B_{n+1} = B_n 1^{s_{n,0}} B_n 1^{s_{n,1}} ... B_n 1^{s_{n,p_n-1}},
 so |B_n| equals the tower height h_n.  Blocks beyond the materialization cap
 are handled through their recursive layout: random access, range extraction
-and exact occurrence counting all descend the layout instead of building the
-word.  Word frequencies are exact rationals count / (h_n - |W| + 1).
+and exact counts of words and of word pairs at a lag all descend the layout
+instead of building the word.  Word frequencies are exact rationals
+count / (h_n - |W| + 1).
 
 Spacer symbols carry an order: the stage at which the run containing them was
 inserted.  The ABC decomposition below splits a window of the subshift into a
@@ -32,13 +33,21 @@ def _check_word(word):
         raise InputError("words must be non-empty strings over {0,1}")
 
 
-def count_overlapping(text, word):
-    """Occurrences of `word` in `text`, overlaps included."""
+def count_overlapping(text, w1, w2="", lag=0):
+    """Positions i of `text` with `w1` at i and `w2` at i + lag, both inside
+    `text`; overlaps included.  With the default empty `w2` this counts the
+    occurrences of `w1`."""
     count = 0
-    pos = text.find(word)
+    pos = text.find(w1)
+    if w2 or lag:
+        last = len(text) - max(len(w1), lag + len(w2))
+        while 0 <= pos <= last:
+            count += text.startswith(w2, pos + lag)
+            pos = text.find(w1, pos + 1)
+        return count
     while pos != -1:
         count += 1
-        pos = text.find(word, pos + 1)
+        pos = text.find(w1, pos + 1)
     return count
 
 
@@ -58,10 +67,10 @@ class BlockDag:
     the construction: the heights h_n indexed by stage and, for each stage
     n >= 2, the start offsets of the p_{n-1} copies of B_{n-1} inside B_n
     with the spacer row that follows them.  `segments` is the only reader of
-    the start offsets.  Occurrence counts read the spacer rows alone: each
-    stage joins its row's pieces, cut down to their edges, into one seam
-    string.  Queries are deterministic and fill two caches only: the blocks
-    up to `memo_limit` symbols and one larger block."""
+    the start offsets.  Counts of words and word pairs read the spacer rows
+    alone: each stage joins its row's pieces, cut down to their edges, into
+    one seam string.  Queries are deterministic and fill one cache only: the
+    blocks up to `memo_limit` symbols."""
 
     def __init__(self, params: ConstructionParams, cap=DEFAULT_CAP, memo_limit=1 << 17):
         self.params = params
@@ -73,7 +82,6 @@ class BlockDag:
             for h, row in zip(self._heights[1:], params.spacers)
         )
         self._strings = {1: "0"}
-        self._big = None  # single-slot cache (stage, word) for large blocks
 
     @property
     def max_stage(self):
@@ -123,20 +131,18 @@ class BlockDag:
         self._strings[n] = s
         return s
 
-    def materialize(self, n):
-        """The explicit word B_n; refuses when h_n exceeds the cap."""
+    def check_cap(self, n):
+        """h_n, or a refusal when it exceeds the materialization cap."""
         h = self.height(n)
         if h > self.cap:
             raise Refusal(
                 f"B_{n} has {h} symbols; raise the materialization cap to at least {h}"
             )
-        if h <= self.memo_limit:
-            return self._small_string(n)
-        if self._big and self._big[0] == n:
-            return self._big[1]
-        word = self.extract(n, 1, h)
-        self._big = (n, word)
-        return word
+        return h
+
+    def materialize(self, n):
+        """The explicit word B_n; refuses when h_n exceeds the cap."""
+        return self.extract(n, 1, self.check_cap(n))
 
     def extract(self, n, start, length):
         """Substring of B_n of `length` symbols from 1-based `start` <= h_n + 1."""
@@ -174,29 +180,33 @@ class BlockDag:
         _check_word(word)
         if len(word) > self.height(n):
             raise RangeError(f"word longer than B_{n}")
-        return self._count(word, n)
+        return self._count(word, "", 0, n)
 
-    def _count(self, word, n):
-        L = len(word)
-        if self._heights[n] <= max(self.memo_limit, 2 * L):
-            return count_overlapping(self.materialize(n), word)
-        # Seam string of B_n's row: a piece longer than 2m (m = L - 1) keeps
-        # its first and last m symbols around a "#" no word matches, and the
-        # occurrences wholly inside it are counted per piece instead.
-        m = L - 1
+    def _count(self, w1, w2, lag, n):
+        """Positions i with `w1` at i and `w2` at i + lag, both inside B_n."""
+        span = max(len(w1), lag + len(w2))
+        if self._heights[n] <= max(self.memo_limit, 2 * span):
+            return count_overlapping(self.extract(n, 1, self._heights[n]), w1, w2, lag)
+        # Seam string of B_n's row: a piece longer than 2m (m = span - 1)
+        # keeps its first and last m symbols around a "#" no word matches,
+        # and the windows wholly inside it are counted per piece instead.
+        m = span - 1
         h = self._heights[n - 1]
         row = self._layout[n][1]
         total = 0
         if h > 2 * m:
             child = self.extract(n - 1, 1, m) + "#" + self.extract(n - 1, h - m + 1, m)
-            total += len(row) * self._count(word, n - 1)
+            total += len(row) * self._count(w1, w2, lag, n - 1)
         else:
             child = self.extract(n - 1, 1, h)
-        if word == "1" * L:
+        if "0" not in w1 + w2:
             total += sum(s - m for s in row if s > 2 * m)
         run = "1" * m + "#" + "1" * m
         seams = "".join(child + (run if s > 2 * m else "1" * s) for s in row)
-        return total + count_overlapping(seams, word)
+        if not w2:
+            return total + count_overlapping(seams, w1)
+        # the gap between the words may cover a "#": count each part alone
+        return total + sum(count_overlapping(part, w1, w2, lag) for part in seams.split("#"))
 
     def frequency(self, word, n):
         """Exact frequency of `word` among the h_n - |W| + 1 windows of B_n."""

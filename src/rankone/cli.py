@@ -219,6 +219,8 @@ def cmd_blocks(run):
         start = 1 if start is None else start
         if length is None:
             length = dag.height(stage) - start + 1
+        if length > dag.cap:
+            raise Refusal(f"the range has {length} symbols, more than the cap {dag.cap}")
         word = dag.extract(stage, start, length)
     run.write_text(f"block_{stage}.txt", word + "\n")
     if len(word) <= 256:

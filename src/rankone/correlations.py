@@ -2,13 +2,13 @@
 
 The correlation of two words at a lag is the exact fraction of positions of a
 deep block carrying the first word at i and the second at i + lag.  Exact
-scans materialize the block (cap permitting); sampled estimates draw seeded
-uniform positions and read symbols through the recursive layout, with a
-Hoeffding 95% half-width.  The verification routines compare measured
-correlations at the structured lags against the convex combinations predicted
-by the limit laws (distribution-weighted lags, the one-spacer family's
-alpha*shift + (1-alpha)*identity limit, and the half-spacered family's
-alpha*product + (1-alpha)*identity limit).
+values count the pairs by the layout descent of `BlockDag` (cap permitting);
+sampled estimates draw seeded uniform positions and read symbols through the
+recursive layout, with a Hoeffding 95% half-width.  The verification routines
+compare measured correlations at the structured lags against the convex
+combinations predicted by the limit laws (distribution-weighted lags, the
+one-spacer family's alpha*shift + (1-alpha)*identity limit, and the
+half-spacered family's alpha*product + (1-alpha)*identity limit).
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .blocks import BlockDag, _check_word
 from .construction import heights
@@ -54,13 +53,8 @@ def correlation(dag, w1, w2, lag, stage, method="exact", sample_budget=None, see
     _check_word(w2)
     valid = _valid_positions(dag, w1, w2, lag, stage)
     if method == "exact":
-        text = dag.materialize(stage)
-        hits = 0
-        pos = text.find(w1)
-        while 0 <= pos < valid:
-            if text.startswith(w2, pos + lag):
-                hits += 1
-            pos = text.find(w1, pos + 1)
+        dag.check_cap(stage)
+        hits = dag._count(w1, w2, lag, stage)
         return CorrelationEstimate(w1, w2, lag, stage, Fraction(hits, valid), "EXACT_SCAN")
     if method == "sampled":
         if not sample_budget or sample_budget < 1:
@@ -99,16 +93,6 @@ class LimitCheckRow:
         return float(abs(self.observed - self.predicted))
 
 
-def _exact_lookup(dag, stage):
-    """Memoised exact correlation values (w1, w2, lag) -> Fraction on one stage."""
-
-    @lru_cache(maxsize=None)
-    def corr(w1, w2, lag):
-        return correlation(dag, w1, w2, lag, stage).value
-
-    return corr
-
-
 def _word_margin(pairs, extra):
     """Room a scan window needs beyond the lag: the longest word plus `extra`."""
     return max(max(len(a), len(b)) for a, b in pairs) + extra
@@ -143,7 +127,6 @@ def verify_weak_limit_prediction(
     dist = cocycle_distribution(params, stage, j, depth)
     lag = j * dag.height(stage + 1)
     scan = _scan_stage_for(dag, lag, _word_margin(pairs, max(dist.support())), scan_stage)
-    corr = _exact_lookup(dag, scan)
     return [
         LimitCheckRow(
             params.family,
@@ -152,8 +135,11 @@ def verify_weak_limit_prediction(
             lag,
             w1,
             w2,
-            corr(w1, w2, lag),
-            sum((mass * corr(w2, w1, v) for v, mass in dist.masses), Fraction(0)),
+            correlation(dag, w1, w2, lag, scan).value,
+            sum(
+                (mass * correlation(dag, w2, w1, v, scan).value for v, mass in dist.masses),
+                Fraction(0),
+            ),
             float(dist.tail),
         )
         for w1, w2 in pairs
@@ -179,7 +165,6 @@ def verify_rigid_one_spacer(params, alpha, stage, pairs, powers=(1,), scan_stage
     shift = int(alpha * params.cut(stage))  # floor: alpha rational
     base_lag = shift * dag.height(stage)
     scan = _scan_stage_for(dag, max(powers) * base_lag, _word_margin(pairs, 2), scan_stage)
-    corr = _exact_lookup(dag, scan)
     return [
         LimitCheckRow(
             params.family,
@@ -188,9 +173,10 @@ def verify_rigid_one_spacer(params, alpha, stage, pairs, powers=(1,), scan_stage
             j * base_lag,
             w1,
             w2,
-            corr(w1, w2, j * base_lag),
+            correlation(dag, w1, w2, j * base_lag, scan).value,
             # the unit-shift side runs through the inverse: words swap roles
-            j * alpha * corr(w2, w1, 1) + (1 - j * alpha) * corr(w1, w2, 0),
+            j * alpha * correlation(dag, w2, w1, 1, scan).value
+            + (1 - j * alpha) * correlation(dag, w1, w2, 0, scan).value,
             0.0,
         )
         for j in powers
@@ -254,12 +240,11 @@ def verify_half_spacer_mixing(
     scan = dag.deepest_materializable() if scan_stage is None else scan_stage
     if scan is None or dag.height(scan) < lag + _word_margin(pairs, 2):
         raise Refusal(f"no materializable stage fits lag {lag}")
-    corr = _exact_lookup(dag, scan)
     rows = []
     for w1, w2 in pairs:
         freq1 = dag.frequency(w1, scan).frequency
         freq2 = dag.frequency(w2, scan).frequency
-        predicted = alpha * freq1 * freq2 + (1 - alpha) * corr(w1, w2, 0)
+        predicted = alpha * freq1 * freq2 + (1 - alpha) * correlation(dag, w1, w2, 0, scan).value
         observed = correlation(
             dag, w1, w2, lag, scan, method="sampled", sample_budget=sample_budget, seed=seed
         )

@@ -93,26 +93,36 @@ def test_count_examples():
         dag.count_occurrences("02", 3)
 
 
-@given(
-    st.integers(0, 2**32 - 1),
-    st.integers(1, 6),
-    st.integers(0, 2**6 - 1),
-    st.sampled_from((1, 2, 8)),
-)
-@settings(max_examples=120, deadline=None)
-def test_count_recursion_equals_naive_scan(seed, wlen, wbits, memo_limit):
-    # spacer runs up to 12 are both longer and shorter than twice the word
-    params = random_bounded_params(random.Random(seed), depth=6, max_spacer=12)
-    word = format(wbits, f"0{wlen}b")[:wlen]
+def _words(min_size):
+    # all-ones words take the spacer-run branch of the count
+    return st.text("01", min_size=min_size, max_size=6) | st.integers(min_size, 6).map("1".__mul__)
+
+
+@given(st.integers(0, 2**32 - 1), _words(1), _words(0), st.sampled_from((1, 2, 8)), st.data())
+@settings(max_examples=150, deadline=None)
+def test_count_recursion_equals_naive_scan(seed, w1, w2, memo_limit, data):
+    # spacer runs up to 20 are both longer and shorter than twice the span
+    params = random_bounded_params(random.Random(seed), depth=6, max_spacer=20)
     seq = heights(params, params.depth)
     stage = max(n for n in range(1, params.depth + 2) if seq.h(n) <= 100_000)
-    if seq.h(stage) < len(word):
+    if seq.h(stage) < max(len(w1), len(w2)):
         return
+    text = BlockDag(params).materialize(stage)
+    # an empty w2 counts occurrences of w1; a short lag keeps the span below
+    # the long spacer runs, a long one lets the gap reach across the seam cuts
+    top = len(text) - len(w2)
+    lag = data.draw(st.integers(0, min(top, 8)) | st.integers(0, top)) if w2 else 0
+    span = max(len(w1), lag + len(w2))
+    expected = sum(
+        text[i : i + len(w1)] == w1 and text[i + lag : i + lag + len(w2)] == w2
+        for i in range(len(text) - span + 1)
+    )
     # memo_limit forced tiny so counting exercises the recursion, with child
-    # copies both shorter and longer than twice the word
+    # copies both shorter and longer than twice the span
     dag = BlockDag(params, memo_limit=memo_limit)
-    reference = BlockDag(params).materialize(stage)
-    assert dag.count_occurrences(word, stage) == count_overlapping(reference, word)
+    assert dag._count(w1, w2, lag, stage) == expected
+    if not w2:
+        assert dag.count_occurrences(w1, stage) == expected
 
 
 def test_frequency_closed_form_chacon():

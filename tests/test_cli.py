@@ -10,7 +10,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import rankone
-from rankone.cli import main, replay_manifest, run_argv
+from rankone.cli import REPORT_HEADER, main, replay_manifest, run_argv
+from rankone.construction import load_construction
+from rankone.correlations import verify_rigid_one_spacer, verify_weak_limit_prediction
 
 
 def run(argv, outdir):
@@ -43,6 +45,12 @@ def test_blocks_and_freq(tmp_path, capsys):
     assert rows[0] == ["word", "stage", "count", "denominator", "frequency"]
     assert rows[1] == ["0", "3", "9", "13", "9/13"]
     assert rows[2] == ["00", "3", "4", "12", "1/3"]
+    # counting reads blocks through the layout, so the cap never stops it
+    for cap in ("1", "10000000"):
+        code, _ = run(["freq", "--config", "chacon:depth=8", "--stage", "5", "--words", "00",
+                       "--cap", cap], tmp_path)
+        assert code == 0
+        assert read_csv(tmp_path / "freq.csv")[1] == ["00", "5", "40", "120", "1/3"]
 
 
 def test_distribution_csv_footer(tmp_path):
@@ -128,11 +136,42 @@ def test_correlate_exact_and_sampled(tmp_path):
     float(rows[1][4])  # sampled values print as floats
 
 
+@pytest.mark.parametrize(
+    "argv, name, rows",
+    [
+        (["verify-pj", "--config", "chacon:depth=20", "-n", "6", "--cylinders", "0:0,0:1"],
+         "verify_pj.csv",
+         lambda: verify_weak_limit_prediction(
+             load_construction("chacon:depth=20"), 6, 1, [("0", "0"), ("0", "1")])),
+        (["rigid-chacon", "--config", "generalized_chacon:depth=6", "--alpha", "1/2", "-n", "3"],
+         "rigid_chacon.csv",
+         lambda: verify_rigid_one_spacer(
+             load_construction("generalized_chacon:depth=6"), Fraction(1, 2), 3, [("0", "0")])),
+    ],
+    ids=["verify-pj", "rigid-chacon"],
+)
+def test_exact_reports_match_library(tmp_path, argv, name, rows):
+    code, _ = run(argv, tmp_path)
+    assert code == 0
+    header, *body = read_csv(tmp_path / name)
+    assert header == REPORT_HEADER
+    expected = rows()
+    assert len(body) == len(expected)
+    for line, row in zip(body, expected):
+        assert line[REPORT_HEADER.index("method")] == "EXACT_SCAN"
+        observed = line[REPORT_HEADER.index("observed")]
+        assert observed == f"{row.observed.numerator}/{row.observed.denominator}"
+
+
 def test_exit_codes():
     assert main(["heights", "--config", "chacon:depth=3", "-n", "9"]) == 2
     assert main(["classify", "--config", "generalized_chacon:depth=8"]) == 3
     # --cap reaches the scan: no block under 1000 symbols fits lag h_11
     assert main(["verify-pj", "--config", "chacon:depth=30", "-n", "10", "--cap", "1000"]) == 3
+    # B_5 has 121 symbols: neither the block nor a range of all of it fits a cap of 10
+    for extra in ([], ["--start", "1"]):
+        assert main(["blocks", "--config", "chacon:depth=8", "--stage", "5", "--cap", "10"]
+                    + extra) == 3
     # j * alpha must lie in (0, 1): power 0 would report a vacuous lag-0 row
     for power in ("0", "-1"):
         assert main(["rigid-chacon", "--config", "generalized_chacon:depth=8", "--alpha", "1/2",
