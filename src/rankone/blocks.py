@@ -140,6 +140,32 @@ class BlockDag:
             )
         return h
 
+    def check_count_cap(self, span, n):
+        """The longest string `_count` builds for a word span in B_n, or a
+        refusal when it exceeds the materialization cap.
+
+        The descent builds one seam string per stage it passes and the block
+        where it stops; their lengths, at most h_n, come off the layout table."""
+        m = span - 1
+        longest = 0
+        k = n
+        while self._heights[k] > max(self.memo_limit, 2 * span):
+            h = self._heights[k - 1]
+            edges = 2 * m + 1 if h > 2 * m else h
+            row = self._layout[k][1]
+            longest = max(longest, sum(edges + (2 * m + 1 if s > 2 * m else s) for s in row))
+            if h <= 2 * m:
+                break
+            k -= 1
+        else:
+            longest = max(longest, self._heights[k])
+        if longest > self.cap:
+            raise Refusal(
+                f"counting a {span}-symbol span in B_{n} builds a {longest}-symbol string; "
+                f"raise the materialization cap to at least {longest}"
+            )
+        return longest
+
     def materialize(self, n):
         """The explicit word B_n; refuses when h_n exceeds the cap."""
         return self.extract(n, 1, self.check_cap(n))

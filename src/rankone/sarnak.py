@@ -1,12 +1,18 @@
 """Mobius orthogonality experiments along symbolic orbits.
 
-A linear sieve produces the Mobius values; orbit words come from random
-access into the block layout, so horizons far beyond the materialization cap
-are feasible.  Partial averages are accumulated exactly (rationals for
-rational-valued observables) and emitted on a geometric grid of horizons.
-Decay is reported, never "verified": the vanishing of these averages is an
-asymptotic statement, so acceptance rests on recorded regression baselines
-and trend diagnostics, not on the conjecture.
+A slice sieve produces the Mobius values as signed bytes: the primes come
+from zeroing their multiples in a bytearray, the squarefree flags from
+zeroing the p^2 strides, and the sign flips once per prime factor on the p
+strides.  Orbit words come from random access into the block layout, so
+horizons far beyond the materialization cap are feasible.  Partial averages
+are accumulated exactly (rationals for rational-valued observables) and
+emitted on a geometric grid of horizons.  The cylinder and prime-pair
+accumulators turn the orbit word into one byte string of hit flags and count
+each grid segment with `bytes.count`, so their sums are integer counts
+combined with the centers at grid points only.  Decay is reported, never
+"verified": the vanishing of these averages is an asymptotic statement, so
+acceptance rests on recorded regression baselines and trend diagnostics, not
+on the conjecture.
 
 The K-floor suspension pairs step n with floor (start_floor + n) % K and
 base position (start_floor + n) // K, modelling a finite cyclic group of
@@ -18,8 +24,13 @@ floor inside the integer-count accumulator.
 from __future__ import annotations
 
 import cmath
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from itertools import compress
+from math import isqrt
+from operator import add, mul
 
 from .blocks import BlockDag, _check_word
 from .errors import InputError, RangeError
@@ -36,34 +47,39 @@ __all__ = [
     "eigen_suspension_averages",
 ]
 
+# byte tables: a Mobius value is stored as its low byte, so -1 is 0xff
+_PRIME_TO_MU = bytes.maketrans(b"\x00\x01", b"\x01\xff")
+_NEGATE = bytes.maketrans(b"\x01\xff", b"\xff\x01")
+_MATCH = {s: bytes(255 * (i == ord(s)) for i in range(256)) for s in "01"}
+
 
 def mobius_sieve(limit):
-    """mu(1..limit) by a linear sieve; index 0 is unused."""
+    """mu(0..limit) as an array('b'), with mu(0) = 0, by slice sieving."""
     if limit < 1:
         raise InputError("need limit >= 1")
-    mu = [0] * (limit + 1)
-    mu[1] = 1
-    primes = []
-    composite = bytearray(limit + 1)
-    for i in range(2, limit + 1):
-        if not composite[i]:
-            primes.append(i)
-            mu[i] = -1
-        for p in primes:
-            ip = i * p
-            if ip > limit:
-                break
-            composite[ip] = 1
-            if i % p == 0:
-                mu[ip] = 0
-                break
-            mu[ip] = -mu[i]
-    return mu
+    prime = bytearray([1]) * (limit + 1)
+    prime[:2] = b"\0\0"
+    for p in range(2, isqrt(limit) + 1):
+        if prime[p]:
+            prime[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
+    # every prime starts at -1 and every other n >= 1 at +1; a prime above
+    # limit / 2 has no other multiple in range, so only smaller ones flip
+    mu = prime.translate(_PRIME_TO_MU)
+    mu[0] = 0
+    for p in compress(range(limit // 2 + 1), prime):
+        mu[2 * p :: p] = mu[2 * p :: p].translate(_NEGATE)
+    for p in compress(range(isqrt(limit) + 1), prime):
+        mu[p * p :: p * p] = bytes(len(range(p * p, limit + 1, p * p)))
+    return array("b", mu)
 
 
 def mertens(mu, limit=None):
-    """Sum of mu(1..limit)."""
-    return sum(mu[1 : (limit or len(mu) - 1) + 1])
+    """Sum of mu(1..limit); None sums the whole sieve."""
+    if limit is None:
+        limit = len(mu) - 1
+    elif not 0 <= limit < len(mu):
+        raise InputError(f"Mertens limit must lie in 0..{len(mu) - 1}")
+    return sum(mu[1 : limit + 1])
 
 
 # ----------------------------------------------------------------------------
@@ -154,23 +170,47 @@ def _grid_steps(horizon, grid):
         prev = point
 
 
+def _check_weights(weights, horizon):
+    if len(weights) <= horizon:
+        raise InputError(f"need weights at steps 1..{horizon}")
+
+
 def partial_averages(values, weights, horizon, grid=None):
     """Exact partial averages (1/N') * sum_{n<=N'} values[n] * weights[n].
 
     `values` is indexed from 1 (callable or sequence with [n]); accumulation
-    is exact for int/Fraction values and complex otherwise.  This is the
-    per-step reference the integer-count accumulators below must match."""
+    is exact for int/Fraction values and complex otherwise.  Steps with a zero
+    weight are skipped and the others add `acc = acc + values[n] * weights[n]`
+    in step order, so float sums round the same way on every path.  This is
+    the per-step reference the integer-count accumulators below must match."""
+    _check_weights(weights, horizon)
     get = values if callable(values) else values.__getitem__
     out = []
     acc = 0
     for point, steps in _grid_steps(horizon, grid):
-        for n in steps:
-            w = weights[n]
-            if w:
-                acc = acc + get(n) * w
+        w = weights[steps.start : steps.stop]
+        acc = reduce(add, map(mul, map(get, compress(steps, w)), compress(w, w)), acc)
         avg = Fraction(acc, point) if isinstance(acc, (int, Fraction)) else acc / point
         out.append((point, avg))
     return out
+
+
+def _signed_sum(data, start=0, end=None):
+    """Sum of the Mobius values stored as bytes in data[start:end]."""
+    return data.count(1, start, end) - data.count(255, start, end)
+
+
+def _and(a, b):
+    """Bytewise AND of two byte strings of one length."""
+    return (int.from_bytes(a, "little") & int.from_bytes(b, "little")).to_bytes(len(a), "little")
+
+
+def _hit_flags(word, cylinder, length):
+    """Byte i is 0xff where `cylinder` occurs in `word` at i and 0 elsewhere,
+    for i < length; the word must reach length + |cylinder| - 1 symbols."""
+    data = word.encode("ascii")
+    return reduce(_and, (data[k : k + length].translate(_MATCH[symbol])
+                         for k, symbol in enumerate(cylinder)))
 
 
 def cylinder_sarnak_averages(word, cylinder, center, mu, horizon, grid=None, start_floor=0):
@@ -187,17 +227,24 @@ def cylinder_sarnak_averages(word, cylinder, center, mu, horizon, grid=None, sta
         raise InputError("need 0 <= start_floor < number of floors")
     if len(word) < (start_floor + horizon) // K + len(cylinder):
         raise RangeError("orbit word too short for the horizon and window")
+    segments = list(_grid_steps(horizon, grid))
+    _check_weights(mu, horizon)
+    signs = array("b", mu[: horizon + 1]).tobytes()
+    hits = _hit_flags(word, cylinder, (start_floor + horizon) // K + 1)
+    # byte n of `stepped` flags a hit at the word position step n reads
+    stepped = bytearray(horizon + 1)
+    for floor in range(K):
+        base = (start_floor + floor) // K
+        stepped[floor::K] = hits[base : base + len(range(floor, horizon + 1, K))]
+    hit_signs = _and(signs, stepped)
     out = []
     hit_sum = 0
     mertens_by_floor = [0] * K
-    for point, steps in _grid_steps(horizon, grid):
-        for n in steps:
-            m = mu[n]
-            if m and word.startswith(cylinder, (start_floor + n) // K):
-                hit_sum += m
+    for point, steps in segments:
+        hit_sum += _signed_sum(hit_signs, steps.start, steps.stop)
         for floor in range(K):
             first = steps.start + (floor - start_floor - steps.start) % K
-            mertens_by_floor[floor] += sum(mu[first : point + 1 : K])
+            mertens_by_floor[floor] += _signed_sum(signs[first : steps.stop : K])
         centered = hit_sum - sum(c * s for c, s in zip(centers, mertens_by_floor))
         out.append((point, Fraction(centered, point)))
     return out
@@ -220,14 +267,17 @@ def prime_power_averages(word, cylinder, center, p, q, horizon, grid=None):
     need = max(p, q) * horizon + len(cylinder)
     if len(word) < need:
         raise RangeError(f"orbit word must cover {need} symbols")
+    segments = list(_grid_steps(horizon, grid))
+    hits = _hit_flags(word, cylinder, max(p, q) * horizon + 1)
+    hits_p = hits[: p * horizon + 1 : p]  # byte n flags a hit at word position p * n
+    hits_q = hits[: q * horizon + 1 : q]
+    hits_pq = _and(hits_p, hits_q)
     out = []
     both = either = 0
-    for point, steps in _grid_steps(horizon, grid):
-        for n in steps:
-            hp = word.startswith(cylinder, p * n)
-            hq = word.startswith(cylinder, q * n)
-            both += hp and hq
-            either += hp + hq
+    for point, steps in segments:
+        both += hits_pq.count(255, steps.start, steps.stop)
+        either += hits_p.count(255, steps.start, steps.stop)
+        either += hits_q.count(255, steps.start, steps.stop)
         out.append((point, Fraction(both - center * either + point * center * center, point)))
     return out
 
@@ -245,4 +295,6 @@ def eigen_suspension_averages(K, power, mu, horizon, start_floor=0):
     if K < 1 or not 0 <= start_floor < K:
         raise InputError("need K >= 1 and 0 <= start_floor < K")
     table = [cmath.exp(2j * cmath.pi * power * f / K) for f in range(K)]
-    return partial_averages(lambda n: table[(start_floor + n) % K], mu, horizon)
+    # values[n] = table[(start_floor + n) % K], one list for the whole horizon
+    values = (table[start_floor:] + table[:start_floor]) * (horizon // K + 1)
+    return partial_averages(values, mu, horizon)

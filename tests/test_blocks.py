@@ -125,6 +125,34 @@ def test_count_recursion_equals_naive_scan(seed, w1, w2, memo_limit, data):
         assert dag.count_occurrences(w1, stage) == expected
 
 
+def test_count_cap_is_longest_string_built(monkeypatch):
+    # a single word of the span makes the descent pass each string it builds,
+    # unsplit, to count_overlapping
+    lengths = []
+
+    def record(text, w1, w2="", lag=0):
+        lengths.append(len(text))
+        return count_overlapping(text, w1, w2, lag)
+
+    monkeypatch.setattr("rankone.blocks.count_overlapping", record)
+    rng = random.Random(11)
+    for _ in range(40):
+        params = random_bounded_params(rng, depth=6, max_spacer=20)
+        stage = params.depth + 1
+        h = heights(params, params.depth).h(stage)
+        for span in {1, 2, 5, 17, max(1, h // 5), max(1, h // 2), h}:
+            dag = BlockDag(params, memo_limit=rng.choice((1, 2, 8)))
+            lengths.clear()
+            dag._count("0" * span, "", 0, stage)
+            longest = dag.check_count_cap(span, stage)
+            assert longest == max(lengths) <= h
+            tight = BlockDag(params, cap=longest, memo_limit=dag.memo_limit)
+            assert tight.check_count_cap(span, stage) == longest
+            tight.cap = longest - 1
+            with pytest.raises(Refusal):
+                tight.check_count_cap(span, stage)
+
+
 def test_frequency_closed_form_chacon():
     dag = BlockDag(chacon(12))
     for n in range(1, 13):

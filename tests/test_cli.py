@@ -136,6 +136,21 @@ def test_correlate_exact_and_sampled(tmp_path):
     float(rows[1][4])  # sampled values print as floats
 
 
+def test_exact_correlate_beyond_cap(tmp_path):
+    # B_31 of Chacon has (3^31 - 1) / 2 symbols, far above the cap, yet a
+    # lag-1 count builds no string longer than the cached B_11
+    code, _ = run(["correlate", "--config", "chacon:depth=30", "--stage", "31",
+                   "--w1", "0", "--w2", "0", "--lag", "1"], tmp_path)
+    assert code == 0
+    assert read_csv(tmp_path / "correlate.csv")[1][4] == "1/3"
+    # at lag 20000 the seam string of B_12 joins the 20000-symbol edges of its
+    # three copies of B_11 and one spacer: 120004 symbols
+    argv = ["correlate", "--config", "chacon:depth=30", "--stage", "31", "--w1", "0",
+            "--w2", "0", "--lag", "20000", "--out", str(tmp_path)]
+    assert main(argv + ["--cap", "120003"]) == 3
+    assert main(argv + ["--cap", "120004"]) == 0
+
+
 @pytest.mark.parametrize(
     "argv, name, rows",
     [

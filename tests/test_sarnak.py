@@ -41,8 +41,15 @@ def _mu_by_factorization(n):
 
 def test_sieve_values():
     mu = mobius_sieve(30)
-    assert mu[1:11] == MU_FIRST_TEN
+    assert mu[1:11].tolist() == MU_FIRST_TEN
     assert mu[30] == -1
+
+
+@pytest.mark.parametrize("limit", [1, 2, 4, 9, 3000])
+def test_sieve_index_zero(limit):
+    mu = mobius_sieve(limit)
+    assert len(mu) == limit + 1
+    assert mu[0] == 0
 
 
 def test_sieve_against_factorization():
@@ -67,11 +74,52 @@ def test_mertens_small():
     mu = mobius_sieve(100)
     assert mertens(mu, 10) == -1
     assert mertens(mu, 100) == 1
+    assert mertens(mu) == mertens(mu, None) == 1
+    assert mertens(mobius_sieve(10), 0) == 0
+    assert mertens(mu, 1) == 1
+
+
+@pytest.mark.parametrize("limit", [-1, 11, 1000])
+def test_mertens_limit_outside_sieve(limit):
+    with pytest.raises(InputError):
+        mertens(mobius_sieve(10), limit)
 
 
 def test_geometric_grid():
     assert geometric_grid(10) == [1, 2, 3, 5, 10]
     assert geometric_grid(1) == [1]
+
+
+def _per_step(value, weights, horizon, grid=None):
+    """Partial averages by the plain loop acc = acc + value(n) * weights[n]."""
+    points = sorted(set(grid or geometric_grid(horizon)))
+    out, acc, n = [], 0, 0
+    for point in points:
+        while n < point:
+            n += 1
+            if weights[n]:
+                acc = acc + value(n) * weights[n]
+        out.append((point, Fraction(acc, point) if isinstance(acc, int) else acc / point))
+    return out
+
+
+def test_partial_averages_match_per_step_loop(rng):
+    mu = mobius_sieve(500)
+    table = [cmath.exp(2j * cmath.pi * f / 7) for f in range(7)]
+    for horizon in (1, 2, 3, 37, 500):
+        for grid in (None, sorted(rng.sample(range(1, horizon + 1), min(horizon, 4)))):
+            def ints(n):
+                return n % 5 - 2
+
+            def floats(n):
+                return table[n * n % 7]
+
+            for value in (ints, floats):
+                rows = partial_averages(value, mu, horizon, grid)
+                expected = _per_step(value, mu, horizon, grid)
+                assert repr(rows) == repr(expected)
+                listed = [value(n) for n in range(horizon + 1)]
+                assert repr(partial_averages(listed, mu, horizon, grid)) == repr(expected)
 
 
 def test_partial_averages_constant_observable():
@@ -119,6 +167,48 @@ def test_cylinder_counts_match_per_step_reference(K):
         ) == partial_averages(centered_hit, mu, horizon, grid=grid)
 
 
+@pytest.mark.parametrize("K", [1, 2, 3, 5])
+def test_cylinder_counts_match_reference_grid_of_shapes(K, rng):
+    dag = BlockDag(chacon(14))
+    mu = mobius_sieve(1000)
+    for cylinder in ("0", "1", "00", "01", "10", "11", "010", "101"):
+        centers = [Fraction(rng.randint(0, 6), 7) for _ in range(K)]
+        for horizon in (1, 2, 3, 7, 100, 1000):
+            for start_floor in range(K):
+                spec = OrbitSpec(stage=12, offset=rng.randint(1, 5000), floors=K,
+                                 start_floor=start_floor)
+                word = orbit_word(dag, spec, (start_floor + horizon) // K + len(cylinder))
+
+                def centered_hit(n):
+                    base, floor = divmod(start_floor + n, K)
+                    return int(word.startswith(cylinder, base)) - centers[floor]
+
+                grids = [None, [horizon], sorted({1, horizon, rng.randint(1, horizon)})]
+                for grid in grids:
+                    rows = cylinder_sarnak_averages(word, cylinder, centers, mu, horizon,
+                                                    grid=grid, start_floor=start_floor)
+                    assert rows == partial_averages(centered_hit, mu, horizon, grid)
+
+
+def test_prime_power_counts_match_per_step_loop(rng):
+    dag = BlockDag(chacon(14))
+    for _ in range(30):
+        p, q = rng.sample((1, 2, 3, 5, 7, 11), 2)
+        horizon = rng.choice((1, 2, 3, 50, 301))
+        cylinder = rng.choice(("0", "1", "11", "010"))
+        center = Fraction(rng.randint(0, 5), 5)
+        word = orbit_word(dag, OrbitSpec(stage=12, offset=rng.randint(1, 1000)),
+                          max(p, q) * horizon + len(cylinder))
+        acc, expected = Fraction(0), {}
+        for n in range(1, horizon + 1):
+            fp = int(word.startswith(cylinder, p * n)) - center
+            fq = int(word.startswith(cylinder, q * n)) - center
+            acc += fp * fq
+            expected[n] = acc / n
+        rows = prime_power_averages(word, cylinder, center, p, q, horizon)
+        assert rows == [(n, expected[n]) for n in geometric_grid(horizon)]
+
+
 def test_prime_power_counts_match_per_step_fractions():
     dag = BlockDag(chacon(20))
     word = orbit_word(dag, OrbitSpec(stage=12, offset=11), 3 * 900 + 3)
@@ -148,6 +238,21 @@ def test_grid_points_outside_horizon_raise(grid):
         cylinder_sarnak_averages(word, "0", Fraction(0), mu, 100, grid=grid)
     with pytest.raises(InputError):
         prime_power_averages(word, "0", Fraction(0), 2, 3, 100, grid=grid)
+
+
+def test_accumulators_refuse_short_weights_and_bad_horizons():
+    word = "01" * 100
+    mu = mobius_sieve(10)
+    # the byte counts would silently stop at the end of a short sieve
+    with pytest.raises(InputError):
+        cylinder_sarnak_averages(word, "0", Fraction(0), mu, 11)
+    with pytest.raises(InputError):
+        partial_averages(lambda n: 1, mu, 11)
+    for horizon in (0, -5):
+        with pytest.raises(InputError):
+            cylinder_sarnak_averages(word, "0", Fraction(0), mu, horizon)
+        with pytest.raises(InputError):
+            prime_power_averages(word, "0", Fraction(0), 2, 3, horizon)
 
 
 def test_geometric_grid_needs_positive_horizon():
@@ -234,6 +339,18 @@ def test_suspension_floor_arithmetic():
     for K, start_floor in ((0, 0), (3, 3), (3, -1)):
         with pytest.raises(InputError):
             eigen_suspension_averages(K, 1, mu, 9, start_floor)
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 5])
+def test_eigen_matches_partial_averages_bit_for_bit(K):
+    horizon = 3000
+    mu = mobius_sieve(horizon)
+    for power in (1, 2):
+        table = [cmath.exp(2j * cmath.pi * power * f / K) for f in range(K)]
+        for start_floor in range(K):
+            rows = eigen_suspension_averages(K, power, mu, horizon, start_floor)
+            reference = partial_averages(lambda n: table[(start_floor + n) % K], mu, horizon)
+            assert repr(rows) == repr(reference)
 
 
 def test_suspension_eigen_power_and_k1():
