@@ -70,7 +70,12 @@ class BlockDag:
     the start offsets.  Counts of words and word pairs read the spacer rows
     alone: each stage joins its row's pieces, cut down to their edges, into
     one seam string.  Queries are deterministic and fill one cache only: the
-    blocks up to `memo_limit` symbols."""
+    blocks up to `memo_limit` symbols.
+
+    The cap bounds every string built for a caller, and `check_cap` is its
+    one check: a materialized block, a range the CLI prints, a period prefix
+    and each string an exact correlation builds.  Word counts and orbit words
+    are not capped."""
 
     def __init__(self, params: ConstructionParams, cap=DEFAULT_CAP, memo_limit=1 << 17):
         self.params = params
@@ -131,44 +136,18 @@ class BlockDag:
         self._strings[n] = s
         return s
 
-    def check_cap(self, n):
-        """h_n, or a refusal when it exceeds the materialization cap."""
-        h = self.height(n)
-        if h > self.cap:
+    def check_cap(self, length):
+        """`length`, or a refusal when a string that long exceeds the cap."""
+        if length > self.cap:
             raise Refusal(
-                f"B_{n} has {h} symbols; raise the materialization cap to at least {h}"
+                f"a {length}-symbol string exceeds the materialization cap; "
+                f"raise it to at least {length}"
             )
-        return h
-
-    def check_count_cap(self, span, n):
-        """The longest string `_count` builds for a word span in B_n, or a
-        refusal when it exceeds the materialization cap.
-
-        The descent builds one seam string per stage it passes and the block
-        where it stops; their lengths, at most h_n, come off the layout table."""
-        m = span - 1
-        longest = 0
-        k = n
-        while self._heights[k] > max(self.memo_limit, 2 * span):
-            h = self._heights[k - 1]
-            edges = 2 * m + 1 if h > 2 * m else h
-            row = self._layout[k][1]
-            longest = max(longest, sum(edges + (2 * m + 1 if s > 2 * m else s) for s in row))
-            if h <= 2 * m:
-                break
-            k -= 1
-        else:
-            longest = max(longest, self._heights[k])
-        if longest > self.cap:
-            raise Refusal(
-                f"counting a {span}-symbol span in B_{n} builds a {longest}-symbol string; "
-                f"raise the materialization cap to at least {longest}"
-            )
-        return longest
+        return length
 
     def materialize(self, n):
         """The explicit word B_n; refuses when h_n exceeds the cap."""
-        return self.extract(n, 1, self.check_cap(n))
+        return self.extract(n, 1, self.check_cap(self.height(n)))
 
     def extract(self, n, start, length):
         """Substring of B_n of `length` symbols from 1-based `start` <= h_n + 1."""
@@ -200,7 +179,7 @@ class BlockDag:
     def count_occurrences(self, word, n):
         """Exact number of (overlapping) occurrences of `word` in B_n.
 
-        Counts by recursion over the layout -- occurrences inside the long
+        Counts by descent over the layout -- occurrences inside the long
         pieces of B_n's row plus those on the seam string that joins their
         edges -- so B_n is never materialized."""
         _check_word(word)
@@ -208,31 +187,43 @@ class BlockDag:
             raise RangeError(f"word longer than B_{n}")
         return self._count(word, "", 0, n)
 
-    def _count(self, w1, w2, lag, n):
-        """Positions i with `w1` at i and `w2` at i + lag, both inside B_n."""
+    def _count(self, w1, w2, lag, n, capped=False):
+        """Positions i with `w1` at i and `w2` at i + lag, both inside B_n.
+
+        Each stage counts the windows on the seam string of B_n's row, where a
+        piece longer than 2m (m = span - 1) keeps its first and last m symbols
+        around a "#" no word matches, and leaves the rest to its copies of
+        B_{n-1}.  `capped` checks each string against the cap before building it."""
         span = max(len(w1), lag + len(w2))
-        if self._heights[n] <= max(self.memo_limit, 2 * span):
-            return count_overlapping(self.extract(n, 1, self._heights[n]), w1, w2, lag)
-        # Seam string of B_n's row: a piece longer than 2m (m = span - 1)
-        # keeps its first and last m symbols around a "#" no word matches,
-        # and the windows wholly inside it are counted per piece instead.
         m = span - 1
-        h = self._heights[n - 1]
-        row = self._layout[n][1]
-        total = 0
-        if h > 2 * m:
-            child = self.extract(n - 1, 1, m) + "#" + self.extract(n - 1, h - m + 1, m)
-            total += len(row) * self._count(w1, w2, lag, n - 1)
-        else:
-            child = self.extract(n - 1, 1, h)
-        if "0" not in w1 + w2:
-            total += sum(s - m for s in row if s > 2 * m)
         run = "1" * m + "#" + "1" * m
-        seams = "".join(child + (run if s > 2 * m else "1" * s) for s in row)
-        if not w2:
-            return total + count_overlapping(seams, w1)
-        # the gap between the words may cover a "#": count each part alone
-        return total + sum(count_overlapping(part, w1, w2, lag) for part in seams.split("#"))
+        total = 0
+        copies = 1
+        while self._heights[n] > max(self.memo_limit, 2 * span):
+            h = self._heights[n - 1]
+            row = self._layout[n][1]
+            if capped:
+                self.check_cap(sum(min(h, 2 * m + 1) + min(s, 2 * m + 1) for s in row))
+            if h > 2 * m:
+                child = self.extract(n - 1, 1, m) + "#" + self.extract(n - 1, h - m + 1, m)
+            else:
+                child = self.extract(n - 1, 1, h)
+            seams = "".join(child + (run if s > 2 * m else "1" * s) for s in row)
+            if not w2:
+                hits = count_overlapping(seams, w1)
+            else:
+                # the gap between the words may cover a "#": count each part alone
+                hits = sum(count_overlapping(part, w1, w2, lag) for part in seams.split("#"))
+            if "0" not in w1 + w2:
+                hits += sum(s - m for s in row if s > 2 * m)
+            total += copies * hits
+            if h <= 2 * m:
+                return total
+            copies *= len(row)
+            n -= 1
+        if capped:
+            self.check_cap(self._heights[n])
+        return total + copies * count_overlapping(self.extract(n, 1, self._heights[n]), w1, w2, lag)
 
     def frequency(self, word, n):
         """Exact frequency of `word` among the h_n - |W| + 1 windows of B_n."""
@@ -296,8 +287,7 @@ def eventual_period(dag, prefix_length, max_period):
 
     Prefix heuristic for odometer detection: a periodic limit word forces the
     return time to every tower base to be constant."""
-    if prefix_length > dag.cap:
-        raise Refusal(f"prefix length {prefix_length} exceeds cap {dag.cap}")
+    dag.check_cap(prefix_length)
     stage = dag.max_stage
     for n in range(1, dag.max_stage + 1):
         if dag.height(n) >= prefix_length:

@@ -70,18 +70,21 @@ def _parse_fraction(text):
 
 
 def _parse_pairs(text):
-    """Power pairs: "1..5" for all pairs up to 5, or "1:2,2:3"."""
+    """Power pairs: "1..5" for all pairs up to 5, or "1:2,2:3"; at least one."""
     try:
         if ".." in text:
             lo, hi = map(int, text.split(".."))
-            return [(a, b) for a in range(lo, hi + 1) for b in range(a + 1, hi + 1)]
-        pairs = []
-        for item in text.split(","):
-            a, _, b = item.partition(":")
-            pairs.append((int(a), int(b)))
-        return pairs
+            pairs = [(a, b) for a in range(lo, hi + 1) for b in range(a + 1, hi + 1)]
+        else:
+            pairs = []
+            for item in text.split(","):
+                a, _, b = item.partition(":")
+                pairs.append((int(a), int(b)))
     except ValueError as exc:
         raise InputError(f"power pairs must read like 1..5 or 1:2,2:3, not {text!r}") from exc
+    if not pairs:
+        raise InputError(f"power range {text!r} holds no pair j1 < j2")
+    return pairs
 
 
 def _parse_word_pairs(text):
@@ -213,15 +216,10 @@ def cmd_heights(run):
 def cmd_blocks(run):
     dag = _load_dag(run)
     stage, start, length = run.args.stage, run.args.start, run.args.length
-    if start is None and length is None:
-        word = dag.materialize(stage)
-    else:
-        start = 1 if start is None else start
-        if length is None:
-            length = dag.height(stage) - start + 1
-        if length > dag.cap:
-            raise Refusal(f"the range has {length} symbols, more than the cap {dag.cap}")
-        word = dag.extract(stage, start, length)
+    start = 1 if start is None else start
+    if length is None:
+        length = dag.height(stage) - start + 1
+    word = dag.extract(stage, start, dag.check_cap(length))
     run.write_text(f"block_{stage}.txt", word + "\n")
     if len(word) <= 256:
         print(word)
@@ -233,14 +231,16 @@ def cmd_blocks(run):
 def cmd_freq(run):
     dag = _load_dag(run)
     stage = run.args.stage
-    if run.args.words:
-        words = [w for w in run.args.words.split(",") if w]
+    if run.args.words is not None:
+        words = run.args.words.split(",")
+    elif run.args.maxlen < 1:
+        raise InputError("--maxlen must be at least 1")
     else:
-        words = cylinder_words(2 ** (run.args.maxlen + 1) - 2)
+        # the enumeration stops at the block's length; a named word must fit
+        words = [w for w in cylinder_words(2 ** (run.args.maxlen + 1) - 2)
+                 if len(w) <= dag.height(stage)]
     rows = []
     for w in words:
-        if len(w) > dag.height(stage):
-            continue
         est = dag.frequency(w, stage)
         rows.append((est.word, est.stage, est.count, est.denominator, _rat(est.frequency)))
     run.write_csv("freq.csv", ["word", "stage", "count", "denominator", "frequency"], rows)

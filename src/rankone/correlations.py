@@ -2,8 +2,8 @@
 
 The correlation of two words at a lag is the exact fraction of positions of a
 deep block carrying the first word at i and the second at i + lag.  Exact
-values count the pairs by the layout descent of `BlockDag`, which the cap
-bounds through the longest seam string it builds, not the block's length;
+values count the pairs by the layout descent of `BlockDag`, and the cap
+bounds each string that descent builds, not the block's length;
 sampled estimates draw seeded uniform positions and read symbols through the
 recursive layout, with a Hoeffding 95% half-width.  The verification routines
 compare measured correlations at the structured lags against the convex
@@ -54,8 +54,7 @@ def correlation(dag, w1, w2, lag, stage, method="exact", sample_budget=None, see
     _check_word(w2)
     valid = _valid_positions(dag, w1, w2, lag, stage)
     if method == "exact":
-        dag.check_count_cap(max(len(w1), lag + len(w2)), stage)
-        hits = dag._count(w1, w2, lag, stage)
+        hits = dag._count(w1, w2, lag, stage, capped=True)
         return CorrelationEstimate(w1, w2, lag, stage, Fraction(hits, valid), "EXACT_SCAN")
     if method == "sampled":
         if not sample_budget or sample_budget < 1:

@@ -127,7 +127,8 @@ def test_count_recursion_equals_naive_scan(seed, w1, w2, memo_limit, data):
 
 def test_count_cap_is_longest_string_built(monkeypatch):
     # a single word of the span makes the descent pass each string it builds,
-    # unsplit, to count_overlapping
+    # unsplit, to count_overlapping; a word pair of the same span builds the
+    # same strings, so the capped count admits both at exactly that length
     lengths = []
 
     def record(text, w1, w2="", lag=0):
@@ -142,15 +143,17 @@ def test_count_cap_is_longest_string_built(monkeypatch):
         h = heights(params, params.depth).h(stage)
         for span in {1, 2, 5, 17, max(1, h // 5), max(1, h // 2), h}:
             dag = BlockDag(params, memo_limit=rng.choice((1, 2, 8)))
+            queries = [("0" * span, "", 0), ("0", "0", span - 1)]
             lengths.clear()
-            dag._count("0" * span, "", 0, stage)
-            longest = dag.check_count_cap(span, stage)
-            assert longest == max(lengths) <= h
-            tight = BlockDag(params, cap=longest, memo_limit=dag.memo_limit)
-            assert tight.check_count_cap(span, stage) == longest
-            tight.cap = longest - 1
-            with pytest.raises(Refusal):
-                tight.check_count_cap(span, stage)
+            counts = [dag._count(*q, stage) for q in queries]
+            longest = max(lengths)
+            assert longest <= h
+            dag.cap = longest
+            assert [dag._count(*q, stage, capped=True) for q in queries] == counts
+            dag.cap = longest - 1
+            for q in queries:
+                with pytest.raises(Refusal):
+                    dag._count(*q, stage, capped=True)
 
 
 def test_frequency_closed_form_chacon():
@@ -204,6 +207,11 @@ def test_eventual_period():
     # one spacer after *each* column breaks 2-periodicity at the junctions
     dense = ConstructionParams(cuts=(2,) * 8, spacers=((1, 1),) * 8)
     assert eventual_period(BlockDag(dense), 100, 4) is None
+    # the prefix is one string the cap bounds
+    capped = BlockDag(chacon(8), cap=100)
+    with pytest.raises(Refusal):
+        eventual_period(capped, 101, 3)
+    assert eventual_period(capped, 100, 3) is None
 
 
 def test_spacer_order_examples():

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -51,6 +52,21 @@ def test_blocks_and_freq(tmp_path, capsys):
                        "--cap", cap], tmp_path)
         assert code == 0
         assert read_csv(tmp_path / "freq.csv")[1] == ["00", "5", "40", "120", "1/3"]
+
+
+def test_json_tables_match_csv(tmp_path):
+    argv = ["freq", "--config", "chacon:depth=8", "--stage", "5", "--maxlen", "2"]
+    assert run(argv, tmp_path / "csv")[0] == 0
+    header, *rows = read_csv(tmp_path / "csv" / "freq.csv")
+    code, manifest = run(argv + ["--format", "json"], tmp_path / "json")
+    assert code == 0
+    table = (tmp_path / "json" / "freq.json").read_bytes()
+    records = json.loads(table)
+    assert all(sorted(r) == sorted(header) for r in records)
+    assert [[str(r[k]) for k in header] for r in records] == rows
+    assert manifest["outputs"] == {"freq.json": "sha256:" + hashlib.sha256(table).hexdigest()}
+    ok, _ = replay_manifest(tmp_path / "json" / "manifest.json", str(tmp_path / "replay"))
+    assert ok and (tmp_path / "replay" / "freq.json").read_bytes() == table
 
 
 def test_distribution_csv_footer(tmp_path):
@@ -178,7 +194,7 @@ def test_exact_reports_match_library(tmp_path, argv, name, rows):
         assert observed == f"{row.observed.numerator}/{row.observed.denominator}"
 
 
-def test_exit_codes():
+def test_exit_codes(tmp_path):
     assert main(["heights", "--config", "chacon:depth=3", "-n", "9"]) == 2
     assert main(["classify", "--config", "generalized_chacon:depth=8"]) == 3
     # --cap reaches the scan: no block under 1000 symbols fits lag h_11
@@ -187,6 +203,12 @@ def test_exit_codes():
     for extra in ([], ["--start", "1"]):
         assert main(["blocks", "--config", "chacon:depth=8", "--stage", "5", "--cap", "10"]
                     + extra) == 3
+    # a block or a range of exactly --cap symbols fits, one symbol more is refused
+    blocks = ["blocks", "--config", "chacon:depth=8", "--stage", "5", "--out", str(tmp_path)]
+    for extra, length in (([], 121), (["--start", "2"], 120)):
+        assert main(blocks + extra + ["--cap", str(length)]) == 0
+        assert len((tmp_path / "block_5.txt").read_text().strip()) == length
+        assert main(blocks + extra + ["--cap", str(length - 1)]) == 3
     # j * alpha must lie in (0, 1): power 0 would report a vacuous lag-0 row
     for power in ("0", "-1"):
         assert main(["rigid-chacon", "--config", "generalized_chacon:depth=8", "--alpha", "1/2",
@@ -353,6 +375,12 @@ MALFORMED_DOCS = {
          "-p", "-1", "-q", "3"],
         ["primepair", "--config", "chacon:depth=20", "--observable", "cyl:0", "--N", "100",
          "-p", "0", "-q", "3"],
+        ["freq", "--config", "chacon:depth=8", "--stage", "3", "--maxlen", "0"],
+        ["freq", "--config", "chacon:depth=8", "--stage", "3", "--maxlen", "-1"],
+        ["freq", "--config", "chacon:depth=8", "--stage", "3", "--words", ","],
+        ["freq", "--config", "chacon:depth=8", "--stage", "2", "--words", "0,000000"],
+        ["certify", "--config", "chacon:depth=30", "--pairs", "5..5", "--depth", "6"],
+        ["certify", "--config", "chacon:depth=30", "--pairs", "3..1", "--depth", "6"],
     ],
     ids=["missing-config", "bad-family-arg", "bad-pairs", "list-config", "start-0", "bad-powers",
          "profile-no-lo", "profile-str-lo", "profile-bool-lo", "profile-str-bound",
@@ -360,7 +388,9 @@ MALFORMED_DOCS = {
          "list-generator", "str-generator", "spacer-index-str-entry", "spacer-index-short",
          "spacer-index-float", "spacer-index-object", "spacer-index-bool", "family-unknown-key",
          "family-extra-key",
-         "primepair-p-negative", "primepair-p-zero"],
+         "primepair-p-negative", "primepair-p-zero", "freq-maxlen-0", "freq-maxlen-negative",
+         "freq-words-none", "freq-word-longer-than-block", "certify-pairs-one-power",
+         "certify-pairs-reversed"],
 )
 def test_malformed_input_exits_2(tmp_path, capsys, argv):
     for name, doc in MALFORMED_DOCS.items():
