@@ -196,7 +196,6 @@ class BlockDag:
         B_{n-1}.  `capped` checks each string against the cap before building it."""
         span = max(len(w1), lag + len(w2))
         m = span - 1
-        run = "1" * m + "#" + "1" * m
         total = 0
         copies = 1
         while self._heights[n] > max(self.memo_limit, 2 * span):
@@ -204,6 +203,7 @@ class BlockDag:
             row = self._layout[n][1]
             if capped:
                 self.check_cap(sum(min(h, 2 * m + 1) + min(s, 2 * m + 1) for s in row))
+            run = "1" * m + "#" + "1" * m
             if h > 2 * m:
                 child = self.extract(n - 1, 1, m) + "#" + self.extract(n - 1, h - m + 1, m)
             else:

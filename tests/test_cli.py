@@ -165,6 +165,9 @@ def test_exact_correlate_beyond_cap(tmp_path):
             "--w2", "0", "--lag", "20000", "--out", str(tmp_path)]
     assert main(argv + ["--cap", "120003"]) == 3
     assert main(argv + ["--cap", "120004"]) == 0
+    # a lag far over the default cap is refused before any string that long is built
+    argv[argv.index("--lag") + 1] = "10000000000000"
+    assert main(argv) == 3
 
 
 @pytest.mark.parametrize(
