@@ -33,22 +33,26 @@ def _check_word(word):
         raise InputError("words must be non-empty strings over {0,1}")
 
 
+_MASKS = {"0": str.maketrans("01#", "100"), "1": str.maketrans("01#", "010")}
+
+
 def count_overlapping(text, w1, w2="", lag=0):
     """Positions i of `text` with `w1` at i and `w2` at i + lag, both inside
     `text`; overlaps included.  With the default empty `w2` this counts the
-    occurrences of `w1`."""
-    count = 0
-    pos = text.find(w1)
-    if w2 or lag:
-        last = len(text) - max(len(w1), lag + len(w2))
-        while 0 <= pos <= last:
-            count += text.startswith(w2, pos + lag)
-            pos = text.find(w1, pos + 1)
-        return count
-    while pos != -1:
-        count += 1
-        pos = text.find(w1, pos + 1)
-    return count
+    occurrences of `w1`.
+
+    Bit-parallel: each symbol c in {0, 1} has a big-int mask whose bit
+    len(text) - 1 - i is set where text[i] == c, so "#" sets neither mask and
+    matches nothing.  The mask of the letter at offset k from the start,
+    shifted left by k, flags start i at bit len(text) - 1 - i; its low k bits
+    are clear, so windows running past the end drop out of the AND."""
+    if not text:
+        return 0
+    mask = {c: int(text.translate(_MASKS[c]), 2) for c in set(w1 + w2)}
+    hits = mask[w1[0]]
+    for k, c in [*enumerate(w1[1:], 1), *enumerate(w2, lag)]:
+        hits &= mask[c] << k
+    return hits.bit_count()
 
 
 @dataclass(frozen=True)
@@ -149,11 +153,16 @@ class BlockDag:
         """The explicit word B_n; refuses when h_n exceeds the cap."""
         return self.extract(n, 1, self.check_cap(self.height(n)))
 
-    def extract(self, n, start, length):
-        """Substring of B_n of `length` symbols from 1-based `start` <= h_n + 1."""
+    def check_range(self, n, start, length):
+        """Refuse a range of B_n other than `length` >= 0 symbols from 1-based
+        `start` <= h_n + 1."""
         h = self.height(n)
         if length < 0 or not 1 <= start <= h + 1 or start + length - 1 > h:
             raise RangeError(f"range [{start}, {start + length - 1}] outside B_{n}")
+
+    def extract(self, n, start, length):
+        """Substring of B_n of `length` symbols from 1-based `start` <= h_n + 1."""
+        self.check_range(n, start, length)
         out = []
         self._extract(n, start - 1, start - 1 + length, out)
         return "".join(out)

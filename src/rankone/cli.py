@@ -219,6 +219,8 @@ def cmd_blocks(run):
     start = 1 if start is None else start
     if length is None:
         length = dag.height(stage) - start + 1
+    # a range outside B_n is an input error at any cap
+    dag.check_range(stage, start, length)
     word = dag.extract(stage, start, dag.check_cap(length))
     run.write_text(f"block_{stage}.txt", word + "\n")
     if len(word) <= 256:
@@ -232,12 +234,15 @@ def cmd_freq(run):
     dag = _load_dag(run)
     stage = run.args.stage
     if run.args.words is not None:
+        if run.args.maxlen is not None:
+            raise InputError("--words and --maxlen are mutually exclusive")
         words = run.args.words.split(",")
-    elif run.args.maxlen < 1:
-        raise InputError("--maxlen must be at least 1")
     else:
+        maxlen = 3 if run.args.maxlen is None else run.args.maxlen
+        if maxlen < 1:
+            raise InputError("--maxlen must be at least 1")
         # the enumeration stops at the block's length; a named word must fit
-        words = [w for w in cylinder_words(2 ** (run.args.maxlen + 1) - 2)
+        words = [w for w in cylinder_words(2 ** (maxlen + 1) - 2)
                  if len(w) <= dag.height(stage)]
     rows = []
     for w in words:
@@ -585,7 +590,7 @@ def build_parser():
     p = common(sub.add_parser("freq", help="exact word frequencies in a block"))
     p.add_argument("--stage", type=int, required=True)
     p.add_argument("--words", help="comma-separated words")
-    p.add_argument("--maxlen", type=int, default=3, help="or: all words up to this length")
+    p.add_argument("--maxlen", type=int, help="or: all words up to this length (default 3)")
     p.set_defaults(func=cmd_freq)
 
     p = common(sub.add_parser("cocycle", help="law of the centered cocycle sums at a stage"))

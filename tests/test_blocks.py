@@ -1,8 +1,9 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rankone.blocks import (
@@ -96,6 +97,38 @@ def test_count_examples():
 def _words(min_size):
     # all-ones words take the spacer-run branch of the count
     return st.text("01", min_size=min_size, max_size=6) | st.integers(min_size, 6).map("1".__mul__)
+
+
+def _windows(text, word):
+    return sum(text.startswith(word, i) for i in range(len(text)))
+
+
+# "#" matches no word; lags reach past the end of the text and words may be
+# longer than it.  The last example is longer than the default int/str digit
+# limit of 4,300: parsing a mask in base 2 is exempt from that limit, which the
+# test pins by running at the lowest limit the interpreter accepts.
+@given(st.text("01#", max_size=40) | st.text("#", max_size=8),
+       st.text("01", min_size=1, max_size=6), st.text("01", max_size=6), st.integers(0, 50))
+@example("", "0", "", 0)
+@example("###", "1", "1", 1)
+@example("0110", "01", "10", 3)
+@example("01", "0101", "", 0)
+@example("0010#1101" * 600, "01", "10", 3001)
+@settings(max_examples=400, deadline=None)
+def test_count_overlapping_equals_brute_force_pair_count(text, w1, w2, lag):
+    lag = lag if w2 else 0  # an empty w2 counts the occurrences of w1
+    expected = sum(
+        text[i : i + len(w1)] == w1 and text[i + lag : i + lag + len(w2)] == w2
+        for i in range(len(text))
+    )
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(640)
+    try:
+        assert count_overlapping(text, w1, w2, lag) == expected
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 @given(st.integers(0, 2**32 - 1), _words(1), _words(0), st.sampled_from((1, 2, 8)), st.data())
@@ -379,7 +412,7 @@ def test_count_with_long_spacer_runs():
     dag = BlockDag(params, memo_limit=4)
     reference = BlockDag(params).materialize(4)
     for word in ("1", "11", "11111", "0110", "1110", "011111", "101"):
-        assert dag.count_occurrences(word, 4) == count_overlapping(reference, word), word
+        assert dag.count_occurrences(word, 4) == _windows(reference, word), word
 
 
 def test_count_word_spanning_many_children():
@@ -388,4 +421,4 @@ def test_count_word_spanning_many_children():
     dag = BlockDag(params, memo_limit=2)
     reference = BlockDag(params).materialize(5)
     for word in ("0010", "00100", "010010", "0000", "1001"):
-        assert dag.count_occurrences(word, 5) == count_overlapping(reference, word), word
+        assert dag.count_occurrences(word, 5) == _windows(reference, word), word

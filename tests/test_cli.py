@@ -197,6 +197,20 @@ def test_exact_reports_match_library(tmp_path, argv, name, rows):
         assert observed == f"{row.observed.numerator}/{row.observed.denominator}"
 
 
+def test_readme_verify_pj_rows(tmp_path):
+    # the README's exact line: scan stage 15, lag 2,391,484 and a 2.4M-symbol
+    # base block; the benchmark runs verify-pj only at -n 10
+    code, _ = run(["verify-pj", "--config", "chacon:depth=30", "-n", "13", "-j", "1",
+                   "--cylinders", "0:0,0:1"], tmp_path)
+    assert code == 0
+    header, *body = read_csv(tmp_path / "verify_pj.csv")
+    columns = [header.index(k) for k in ("stage", "lag", "W1", "W2", "observed", "predicted")]
+    assert [[line[i] for i in columns] for line in body] == [
+        ["15", "2391484", "0", "0", "2391484/4782969", "439937478400/879876571563"],
+        ["15", "2391484", "0", "1", "797162/4782969", "265720/1594323"],
+    ]
+
+
 def test_exit_codes(tmp_path):
     assert main(["heights", "--config", "chacon:depth=3", "-n", "9"]) == 2
     assert main(["classify", "--config", "generalized_chacon:depth=8"]) == 3
@@ -355,6 +369,7 @@ MALFORMED_DOCS = {
         ["certify", "--config", "chacon:depth=30", "--pairs", "1:x", "--depth", "6"],
         ["heights", "--config", "{tmp}/list.json", "-n", "2"],
         ["blocks", "--config", "chacon:depth=6", "--stage", "3", "--start", "0"],
+        ["blocks", "--config", "chacon:depth=8", "--stage", "5", "--start", "0", "--cap", "5"],
         ["rigid-chacon", "--config", "generalized_chacon:depth=8", "--alpha", "1/2", "-n", "5",
          "--powers", "1,x"],
         ["pj", "--config", "{tmp}/no-lo.json", "-j", "1", "--depth", "3"],
@@ -382,17 +397,20 @@ MALFORMED_DOCS = {
         ["freq", "--config", "chacon:depth=8", "--stage", "3", "--maxlen", "-1"],
         ["freq", "--config", "chacon:depth=8", "--stage", "3", "--words", ","],
         ["freq", "--config", "chacon:depth=8", "--stage", "2", "--words", "0,000000"],
+        ["freq", "--config", "chacon:depth=8", "--stage", "5", "--words", "0", "--maxlen", "-1"],
         ["certify", "--config", "chacon:depth=30", "--pairs", "5..5", "--depth", "6"],
         ["certify", "--config", "chacon:depth=30", "--pairs", "3..1", "--depth", "6"],
     ],
-    ids=["missing-config", "bad-family-arg", "bad-pairs", "list-config", "start-0", "bad-powers",
+    ids=["missing-config", "bad-family-arg", "bad-pairs", "list-config", "start-0",
+         "start-0-small-cap", "bad-powers",
          "profile-no-lo", "profile-str-lo", "profile-bool-lo", "profile-str-bound",
          "profile-float-bound", "family-no-depth", "custom-str-cut", "custom-int-cuts",
          "list-generator", "str-generator", "spacer-index-str-entry", "spacer-index-short",
          "spacer-index-float", "spacer-index-object", "spacer-index-bool", "family-unknown-key",
          "family-extra-key",
          "primepair-p-negative", "primepair-p-zero", "freq-maxlen-0", "freq-maxlen-negative",
-         "freq-words-none", "freq-word-longer-than-block", "certify-pairs-one-power",
+         "freq-words-none", "freq-word-longer-than-block", "freq-words-and-maxlen",
+         "certify-pairs-one-power",
          "certify-pairs-reversed"],
 )
 def test_malformed_input_exits_2(tmp_path, capsys, argv):
