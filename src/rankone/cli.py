@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import os
@@ -258,7 +259,9 @@ def _write_distribution(run, name, dist):
 
 def cmd_cocycle(run):
     params = _load(run)
-    dist = cocycle_distribution(params, run.args.n, run.args.j, run.args.depth, run.args.method)
+    dist = cocycle_distribution(
+        params, run.args.n, run.args.j, run.args.depth, run.args.method, run.args.cap
+    )
     _write_distribution(run, "cocycle.csv", dist)
     print(f"support {list(dist.support())}, tail {dist.tail}")
     return 0
@@ -550,7 +553,9 @@ def cmd_suspend(run):
 # ----------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser():
+    """The parser, built once: every default is immutable, so reuse is safe."""
     parser = argparse.ArgumentParser(
         prog="rankone",
         description="Exact invariants and orthogonality experiments for "
@@ -597,7 +602,9 @@ def build_parser():
     p.add_argument("-n", type=int, required=True)
     p.add_argument("-j", type=int, default=1)
     p.add_argument("--depth", type=int, default=12)
-    p.add_argument("--method", choices=("convolution", "enumerate"), default="convolution")
+    p.add_argument("--method", choices=("convolution", "enumerate"), default="convolution",
+                   help="enumerate visits every level t of the truncated tower (orbit t + 1), "
+                   "tabulates one entry per point and refuses beyond --cap points")
     p.set_defaults(func=cmd_cocycle)
 
     p = common(sub.add_parser("pj", help="limit law of a profile"))

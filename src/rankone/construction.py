@@ -120,7 +120,7 @@ class HeightSequence:
 def heights(params: ConstructionParams, n: int) -> HeightSequence:
     """h_1..h_{n+1} and q_1..q_n by the exact recursion h_{n+1} = p_n h_n + sum s_{n,j}."""
     if not 1 <= n <= params.depth:
-        raise RangeError(f"stage {n} exceeds depth {params.depth}")
+        raise RangeError(f"stage {n} outside 1..{params.depth}")
     hs = [1]
     qs = []
     q = 1

@@ -12,11 +12,16 @@ distributions computed below.
 
 from __future__ import annotations
 
-import itertools
+from array import array
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
+from itertools import accumulate
+from math import prod
+from operator import sub
 
+from .blocks import DEFAULT_CAP
 from .construction import ConstructionParams, heights
 from .errors import InputError, RangeError, Refusal
 
@@ -228,50 +233,50 @@ class IntegerDistribution:
 # coordinates beyond the truncation land in the tail mass.
 
 
-def _excess_once(window, coords):
-    """Spacer sum up to the first non-full coordinate; None if none visible."""
-    total = 0
-    for (p, row), c in zip(window, coords):
-        total += row[c]
-        if c < p - 1:
-            return total
-    return None
+def _level_excess(window):
+    """Excess of every point of the window, indexed by tower level
+    t = c_1 + c_2 p_1 + c_3 p_1 p_2 + ..., so that the adding machine is t -> t + 1.
+
+    Built last coordinate first, one pass per coordinate: a point whose first
+    coordinate c is not full collects row[c] and stops; one on the full column
+    collects row[p-1] plus the excess one coordinate deeper, at level t // p.
+    The last level (every coordinate full) is undetermined and holds a
+    placeholder.  Entries take the smallest unsigned typecode holding
+    sum(max(row)); a list only beyond 64 bits."""
+    top = sum(max(row) for _, row in window)
+    code = next((c for c in "BHIQ" if top >> 8 * array(c).itemsize == 0), None)
+    new = list if code is None else partial(array, code)
+    table = new([0])
+    for p, row in reversed(window):
+        deeper = table
+        table = new([0]) * (p * len(deeper))
+        for c in range(p - 1):
+            table[c::p] = new([row[c]]) * len(deeper)
+        table[p - 1::p] = new(map(row[p - 1].__add__, deeper))
+    return table
 
 
-def _window_distribution_enum(window, j):
-    """Oracle path: full product enumeration of the truncated coordinates."""
-    sizes = [p for p, _ in window]
-    denom = 1
-    for p in sizes:
-        denom *= p
-    counts = {}
-    tail_count = 0
-    for coords in itertools.product(*(range(p) for p in sizes)):
-        cur = list(coords)
-        total = 0
-        determined = True
-        for step in range(j):
-            value = _excess_once(window, cur)
-            if value is None:
-                determined = False
-                break
-            total += value
-            if step + 1 < j:
-                # add one with carry; cannot run off the end, since the
-                # excess was determined (some coordinate is not full)
-                i = 0
-                while True:
-                    cur[i] += 1
-                    if cur[i] < sizes[i]:
-                        break
-                    cur[i] = 0
-                    i += 1
-        if determined:
-            counts[total] = counts.get(total, 0) + 1
-        else:
-            tail_count += 1
-    masses = {v: Fraction(c, denom) for v, c in counts.items()}
-    return IntegerDistribution.from_map(masses, Fraction(tail_count, denom))
+def _window_distribution_enum(window, j, cap):
+    """Oracle path: every level of the truncated tower, with the orbit t -> t + 1.
+
+    The j-fold sum started at level t reads the excess of levels t..t+j-1, so
+    the starts that reach the all-full last level, exactly the last min(j, D)
+    of the D points, land in the tail.  The sums are slid level by level, in
+    time linear in D for every j.  The excess table holds one entry per point,
+    so windows of more than `cap` points are refused before it is built."""
+    size = prod(p for p, _ in window)
+    if size > cap:
+        raise Refusal(f"enumerating {size} points exceeds the cap; raise it to at least {size}")
+    table = _level_excess(window)
+    view = memoryview(table) if isinstance(table, array) else table
+    n = max(size - j, 0)  # starts whose j levels stay below the last one
+    counts = Counter()
+    if n:
+        # each start's sum is the one before, plus the level entering, minus the one leaving
+        steps = map(sub, view[j:size - 1], view[:n - 1])
+        counts.update(accumulate(steps, initial=sum(view[:j])))
+    masses = {v: Fraction(c, size) for v, c in counts.items()}
+    return IntegerDistribution.from_map(masses, Fraction(size - n, size))
 
 
 def _count_full_hits(c, w, p):
@@ -322,13 +327,13 @@ def _window_distribution_conv(window, j):
     return IntegerDistribution(masses, tail)
 
 
-def _window_distribution(window, j, method):
+def _window_distribution(window, j, method, cap=DEFAULT_CAP):
     if j < 1:
         raise InputError("need j >= 1")
     if method == "convolution":
         dist = _window_distribution_conv(tuple(window), j)
     elif method == "enumerate":
-        dist = _window_distribution_enum(tuple(window), j)
+        dist = _window_distribution_enum(tuple(window), j, cap)
     else:
         raise InputError(f"unknown method {method!r}")
     # exact tail guarantee inherited from the per-coordinate 1/p_n <= 1/2
@@ -340,6 +345,8 @@ def _window_distribution(window, j, method):
 
 def stage_window(params: ConstructionParams, base, r):
     """(cut, spacer row) pairs for stages base+1 .. base+r."""
+    if base < 0:
+        raise RangeError(f"stage {base} is negative; need n >= 0")
     if base + r > params.depth:
         raise RangeError(
             f"window base {base} depth {r} needs params depth >= {base + r}"
@@ -349,11 +356,12 @@ def stage_window(params: ConstructionParams, base, r):
     return tuple((params.cut(m), params.spacer_row(m)) for m in range(base + 1, base + r + 1))
 
 
-def cocycle_distribution(params, n, j, depth, method="convolution"):
+def cocycle_distribution(params, n, j, depth, method="convolution", cap=DEFAULT_CAP):
     """Exact law of the j-fold centered cocycle sum at stage n, truncated at `depth`.
 
     Enumerates coordinates n+1..n+depth with product-uniform weights; outcomes
     needing deeper coordinates accumulate in the tail, which is guaranteed
     <= j * 2^-depth.  `method` selects one of two independent evaluation
-    orders that must agree exactly."""
-    return _window_distribution(stage_window(params, n, depth), j, method)
+    orders that must agree exactly; "enumerate" refuses windows of more than
+    `cap` points."""
+    return _window_distribution(stage_window(params, n, depth), j, method, cap)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -168,6 +169,21 @@ def test_exact_correlate_beyond_cap(tmp_path):
     # a lag far over the default cap is refused before any string that long is built
     argv[argv.index("--lag") + 1] = "10000000000000"
     assert main(argv) == 3
+
+
+def test_cocycle_enumerate_beyond_cap(tmp_path, capsys):
+    # the enumeration tabulates one entry per point: 3^20 points are refused
+    # at the default cap before the table is built
+    argv = ["cocycle", "--config", "chacon:depth=30", "-n", "0", "--depth", "20",
+            "--method", "enumerate", "--out", str(tmp_path)]
+    start = time.perf_counter()
+    assert main(argv) == 3
+    assert time.perf_counter() - start < 1
+    assert "at least 3486784401" in capsys.readouterr().err
+    # the cap counts points: 3^12 of them fit under a cap of exactly 3^12
+    argv[argv.index("--depth") + 1] = "12"
+    assert main(argv + ["--cap", str(3**12 - 1)]) == 3
+    assert main(argv + ["--cap", str(3**12)]) == 0
 
 
 @pytest.mark.parametrize(
@@ -360,6 +376,12 @@ MALFORMED_DOCS = {
     },
 }
 
+# cases whose message must name the range or the value the user gave
+MALFORMED_MESSAGES = {
+    "heights-n-0": "stage 0 outside 1..8",
+    "cocycle-n-negative": "stage -1 is negative",
+}
+
 
 @pytest.mark.parametrize(
     "argv",
@@ -400,6 +422,8 @@ MALFORMED_DOCS = {
         ["freq", "--config", "chacon:depth=8", "--stage", "5", "--words", "0", "--maxlen", "-1"],
         ["certify", "--config", "chacon:depth=30", "--pairs", "5..5", "--depth", "6"],
         ["certify", "--config", "chacon:depth=30", "--pairs", "3..1", "--depth", "6"],
+        ["heights", "--config", "chacon:depth=8", "-n", "0"],
+        ["cocycle", "--config", "chacon:depth=30", "-n", "-1"],
     ],
     ids=["missing-config", "bad-family-arg", "bad-pairs", "list-config", "start-0",
          "start-0-small-cap", "bad-powers",
@@ -411,14 +435,16 @@ MALFORMED_DOCS = {
          "primepair-p-negative", "primepair-p-zero", "freq-maxlen-0", "freq-maxlen-negative",
          "freq-words-none", "freq-word-longer-than-block", "freq-words-and-maxlen",
          "certify-pairs-one-power",
-         "certify-pairs-reversed"],
+         "certify-pairs-reversed", "heights-n-0", "cocycle-n-negative"],
 )
-def test_malformed_input_exits_2(tmp_path, capsys, argv):
+def test_malformed_input_exits_2(tmp_path, capsys, request, argv):
     for name, doc in MALFORMED_DOCS.items():
         (tmp_path / name).write_text(json.dumps(doc))
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
     assert main(argv + ["--out", str(tmp_path / "out")]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert MALFORMED_MESSAGES.get(request.node.callspec.id, "") in err
 
 
 # -- argv fuzzing ---------------------------------------------------------------

@@ -1,6 +1,8 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -190,6 +192,60 @@ def test_distribution_enum_equals_convolution(rng):
             b = cocycle_distribution(params, n, j, depth, method="convolution")
             assert a == b
             assert a.tail <= Fraction(j, 2**depth)
+
+
+def _point_walk_distribution(params, n, j, depth):
+    """Reference law by the public point API: every point of coordinates
+    n+1..n+depth walks j steps of the adding machine at coordinate n+1,
+    summing g; an undetermined g puts the point in the tail."""
+    cuts = params.cuts[: n + depth]
+    counts = Counter()
+    tail = 0
+    for coords in itertools.product(*(range(p) for p in cuts[n:])):
+        y = OdometerPoint((0,) * n + coords, cuts)
+        total = 0
+        for _ in range(j):
+            g = g_function(params, y, n)
+            if g is None:
+                tail += 1
+                break
+            total += g
+            y, _ = add_at(y, n + 1)
+        else:
+            counts[total] += 1
+    size = prod(cuts[n:])
+    return IntegerDistribution.from_map(
+        {v: Fraction(c, size) for v, c in counts.items()}, Fraction(tail, size)
+    )
+
+
+@pytest.mark.parametrize("big", [3, 300, 70_000, 2**70])
+def test_enumeration_equals_point_walk(rng, big):
+    # spacers past 255 and 65535 widen the table's typecode; past 2^64 it is a list
+    for depth in (1, 2, 3, 4) * 6:
+        n = rng.randint(0, 2)
+        cuts = tuple(rng.randint(2, 4) for _ in range(n + depth))
+        spacers = tuple(tuple(rng.randint(0, big) for _ in range(p)) for p in cuts)
+        params = ConstructionParams(cuts, spacers)
+        size = prod(cuts[n:])
+        # j = size and beyond: every start reaches the all-full level
+        for j in sorted({1, 2, 3, 5, size - 1, size, size + 3}):
+            expected = _point_walk_distribution(params, n, j, depth)
+            assert cocycle_distribution(params, n, j, depth, method="enumerate") == expected
+            assert expected.tail == Fraction(min(j, size), size)
+
+
+@pytest.mark.parametrize(
+    "top, typecode",
+    [(255, "B"), (256, "H"), (65_535, "H"), (65_536, "I"), (2**32, "Q"), (2**64 - 1, "Q"),
+     (2**64, None)],
+)
+def test_level_excess_typecode(top, typecode):
+    # the point (1, 0) collects both row maxima: the table's largest entry is top
+    window = ((2, (0, top - top // 2)), (3, (top // 2, 0, 1)))
+    table = odometer._level_excess(window)
+    assert getattr(table, "typecode", None) == typecode
+    assert len(table) == 6 and max(table) == top
 
 
 def test_distribution_zero_spacer():
