@@ -70,11 +70,13 @@ class BlockDag:
     `__init__` builds the layout table once, in time linear in the size of
     the construction: the heights h_n indexed by stage and, for each stage
     n >= 2, the start offsets of the p_{n-1} copies of B_{n-1} inside B_n
-    with the spacer row that follows them.  `segments` is the only reader of
-    the start offsets.  Counts of words and word pairs read the spacer rows
-    alone: each stage joins its row's pieces, cut down to their edges, into
-    one seam string.  Queries are deterministic and fill one cache only: the
-    blocks up to `memo_limit` symbols.
+    with the spacer row that follows them.  Two readers use the start
+    offsets: `_extract` descends a stage by one bisection while its range
+    stays inside one piece, and `segments` splits a range into pieces.
+    Counts of words and word pairs read the spacer rows alone: each stage
+    joins its row's pieces, cut down to their edges, into one seam string.
+    Queries are deterministic and fill one cache only: the blocks up to
+    `memo_limit` symbols.
 
     The cap bounds every string built for a caller, and `check_cap` is its
     one check: a materialized block, a range the CLI prints, a period prefix
@@ -161,23 +163,33 @@ class BlockDag:
             raise RangeError(f"range [{start}, {start + length - 1}] outside B_{n}")
 
     def extract(self, n, start, length):
-        """Substring of B_n of `length` symbols from 1-based `start` <= h_n + 1."""
+        """Substring of B_n of `length` symbols from 1-based `start` <= h_n + 1:
+        `check_range`, then the unchecked `_extract`."""
         self.check_range(n, start, length)
-        out = []
-        self._extract(n, start - 1, start - 1 + length, out)
-        return "".join(out)
+        return self._extract(n, start - 1, start - 1 + length)
 
-    def _extract(self, n, lo, hi, out):
-        if lo >= hi:
-            return
-        if self._heights[n] <= self.memo_limit:
-            out.append(self._small_string(n)[lo:hi])
-            return
-        for a, b, child in self.segments(n, lo, hi):
-            if child is None:
-                out.append("1" * (b - a))
+    def _extract(self, n, lo, hi):
+        """Symbols [lo, hi) of B_n, 0-based and unchecked: the caller keeps
+        0 <= lo <= hi <= h_n.
+
+        While the range lies inside one piece of B_n's row, one `bisect_right`
+        on the start offsets descends a stage, or answers a spacer run
+        outright; only a range straddling pieces is split by `segments`."""
+        heights, layout = self._heights, self._layout
+        while heights[n] > self.memo_limit:
+            starts, row = layout[n]
+            j = bisect_right(starts, lo) - 1
+            off, h = starts[j], heights[n - 1]
+            if hi - off <= h:  # inside copy j of B_{n-1}
+                n, lo, hi = n - 1, lo - off, hi - off
+            elif lo - off >= h and hi - off <= h + row[j]:  # inside the spacer run after it
+                return "1" * (hi - lo)
             else:
-                self._extract(n - 1, a - child, b - child, out)
+                return "".join(
+                    "1" * (b - a) if child is None else self._extract(n - 1, a - child, b - child)
+                    for a, b, child in self.segments(n, lo, hi)
+                )
+        return self._small_string(n)[lo:hi]
 
     def symbol_at(self, n, i):
         """Symbol of B_n at 1-based position i, by O(depth) descent."""

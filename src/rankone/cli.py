@@ -340,6 +340,8 @@ def cmd_eigen(run):
 
 
 def cmd_correlate(run):
+    if run.args.method == "exact" and run.args.samples is not None:
+        raise InputError("--samples applies to --method sampled only")
     dag = _load_dag(run)
     est = correlation(
         dag,

@@ -4,8 +4,10 @@ The correlation of two words at a lag is the exact fraction of positions of a
 deep block carrying the first word at i and the second at i + lag.  Exact
 values count the pairs by the layout descent of `BlockDag`, and the cap
 bounds each string that descent builds, not the block's length;
-sampled estimates draw seeded uniform positions and read symbols through the
-recursive layout, with a Hoeffding 95% half-width.  The verification routines
+sampled estimates draw seeded uniform positions, one `randrange` each, and
+read each of the two words by one unchecked layout descent (no per-sample
+range check: every drawn position keeps both words inside the block), with a
+Hoeffding 95% half-width.  The verification routines
 compare measured correlations at the structured lags against the convex
 combinations predicted by the limit laws (distribution-weighted lags, the
 one-spacer family's alpha*shift + (1-alpha)*identity limit, and the
@@ -59,13 +61,13 @@ def correlation(dag, w1, w2, lag, stage, method="exact", sample_budget=None, see
     if method == "sampled":
         if not sample_budget or sample_budget < 1:
             raise InputError("sampled correlation needs a positive sample budget")
-        rng = random.Random(seed)
+        draw = random.Random(seed).randrange
+        read = dag._extract  # unchecked: both windows of every valid position lie in B_stage
+        len1, len2 = len(w1), len(w2)
         hits = 0
         for _ in range(sample_budget):
-            i = rng.randrange(valid)
-            if dag.extract(stage, i + 1, len(w1)) == w1 and dag.extract(
-                stage, i + 1 + lag, len(w2)
-            ) == w2:
+            i = draw(valid)
+            if read(stage, i, i + len1) == w1 and read(stage, i + lag, i + lag + len2) == w2:
                 hits += 1
         ci = math.sqrt(HOEFFDING_95 / (2 * sample_budget))
         return CorrelationEstimate(

@@ -1,6 +1,7 @@
 import random
 import sys
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import example, given, settings
@@ -65,6 +66,47 @@ def test_symbol_at_examples():
     assert dag.symbol_at(3, 13) == 0
     with pytest.raises(RangeError):
         dag.symbol_at(3, 14)
+
+
+def _block(params, n):
+    """B_n built from its definition, without the layout table."""
+    word = "0"
+    for row in params.spacers[: n - 1]:
+        word = "".join(word + "1" * s for s in row)
+    return word
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from((1, 2, 8)), st.data())
+@settings(max_examples=150, deadline=None)
+def test_extract_matches_block_slices(seed, memo_limit, data):
+    # spacer runs up to 20 symbols long hold ranges of their own, and a tiny
+    # memo_limit makes every read descend the layout to a block of at most
+    # 1, 2 or 8 symbols
+    params = random_bounded_params(random.Random(seed), depth=6, max_spacer=20)
+    seq = heights(params, params.depth)
+    top = max(k for k in range(2, params.depth + 2) if seq.h(k) <= 20_000)
+    n = data.draw(st.integers(2, top))
+    word = _block(params, n)
+    h, row = seq.h(n - 1), params.spacers[n - 2]
+    j = data.draw(st.integers(0, len(row) - 1))
+    copy = list(accumulate((h + s for s in row[:-1]), initial=0))[j]
+
+    def within(a, b):
+        lo = data.draw(st.integers(a, b))
+        return lo, data.draw(st.integers(lo, b))
+
+    ranges = [
+        within(copy, copy + h),  # inside copy j of B_{n-1}
+        within(copy + h, copy + h + row[j]),  # inside the spacer run after it
+        # from inside copy j to past its end: straddles pieces unless copy j ends B_n
+        (data.draw(st.integers(copy, copy + h - 1)),
+         data.draw(st.integers(min(copy + h + 1, len(word)), len(word)))),
+        within(0, len(word)),
+        (len(word), len(word)),  # the empty range at h_n + 1
+    ]
+    dag = BlockDag(params, memo_limit=memo_limit)
+    for lo, hi in ranges:
+        assert dag.extract(n, lo + 1, hi - lo) == word[lo:hi], (lo, hi)
 
 
 def test_extract_matches_materialize():

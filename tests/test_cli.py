@@ -380,6 +380,7 @@ MALFORMED_DOCS = {
 MALFORMED_MESSAGES = {
     "heights-n-0": "stage 0 outside 1..8",
     "cocycle-n-negative": "stage -1 is negative",
+    "correlate-exact-samples": "--samples applies to --method sampled only",
 }
 
 
@@ -424,6 +425,8 @@ MALFORMED_MESSAGES = {
         ["certify", "--config", "chacon:depth=30", "--pairs", "3..1", "--depth", "6"],
         ["heights", "--config", "chacon:depth=8", "-n", "0"],
         ["cocycle", "--config", "chacon:depth=30", "-n", "-1"],
+        ["correlate", "--config", "chacon:depth=8", "--stage", "5", "--w1", "0", "--w2", "0",
+         "--lag", "1", "--method", "exact", "--samples", "0"],
     ],
     ids=["missing-config", "bad-family-arg", "bad-pairs", "list-config", "start-0",
          "start-0-small-cap", "bad-powers",
@@ -435,7 +438,8 @@ MALFORMED_MESSAGES = {
          "primepair-p-negative", "primepair-p-zero", "freq-maxlen-0", "freq-maxlen-negative",
          "freq-words-none", "freq-word-longer-than-block", "freq-words-and-maxlen",
          "certify-pairs-one-power",
-         "certify-pairs-reversed", "heights-n-0", "cocycle-n-negative"],
+         "certify-pairs-reversed", "heights-n-0", "cocycle-n-negative",
+         "correlate-exact-samples"],
 )
 def test_malformed_input_exits_2(tmp_path, capsys, request, argv):
     for name, doc in MALFORMED_DOCS.items():

@@ -81,6 +81,27 @@ def test_sampled_matches_exact_within_hoeffding():
     assert misses <= 15
 
 
+@pytest.mark.parametrize(
+    "params, w1, w2, lag, stage, samples, seed, value",
+    [
+        (katok(cuts=(100, 10000)), "0", "1", 26, 3, 100_000, 1, Fraction(4429, 50000)),
+        (chacon(30), "0", "0", 40, 15, 20_000, 1, Fraction(1973, 4000)),
+        (chacon(30), "0", "0", 40, 31, 6_000, 1, Fraction(977, 2000)),
+        (chacon(30), "0", "01", 100_000, 31, 6_000, 7, Fraction(91, 400)),
+        (chacon(30), "01", "1", 3, 20, 20_000, 3, Fraction(2233, 20000)),
+    ],
+    ids=["katok-stage3", "chacon-stage15", "chacon-stage31", "chacon-stage31-long-lag",
+         "chacon-stage20-two-letter-w1"],
+)
+def test_sampled_values_pinned(params, w1, w2, lag, stage, samples, seed, value):
+    # one randrange(valid) per sample, in order, and a hit only where w1 sits
+    # at the drawn position and w2 lag symbols later: a sampler that draws
+    # otherwise or reads other windows moves these values
+    est = correlation(BlockDag(params), w1, w2, lag, stage, method="sampled",
+                      sample_budget=samples, seed=seed)
+    assert est.value == value
+
+
 def test_sampled_needs_budget():
     dag = BlockDag(chacon(8))
     with pytest.raises(InputError):
