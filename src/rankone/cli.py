@@ -456,6 +456,8 @@ def cmd_katok(run):
 
 
 def _orbit_spec(args, floors=1):
+    if args.N < 1:
+        raise InputError("--N must be >= 1")
     return OrbitSpec(
         stage=args.stage,
         offset=args.offset,

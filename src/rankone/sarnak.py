@@ -2,17 +2,19 @@
 
 A slice sieve produces the Mobius values as signed bytes: the primes come
 from zeroing their multiples in a bytearray, the squarefree flags from
-zeroing the p^2 strides, and the sign flips once per prime factor on the p
-strides.  Orbit words come from random access into the block layout, so
-horizons far beyond the materialization cap are feasible.  Partial averages
-are accumulated exactly (rationals for rational-valued observables) and
-emitted on a geometric grid of horizons.  The cylinder and prime-pair
-accumulators turn the orbit word into one byte string of hit flags and count
-each grid segment with `bytes.count`, so their sums are integer counts
-combined with the centers at grid points only.  Decay is reported, never
-"verified": the vanishing of these averages is an asymptotic statement, so
-acceptance rests on recorded regression baselines and trend diagnostics, not
-on the conjecture.
+zeroing the p^2 strides, and the sign flips once per prime factor: one
+stride per small prime, and one stride per multiplier m for all the large
+primes at once, since each has fewer than 16 multiples in range.  Orbit
+words come from random access into the block layout, so horizons far beyond
+the materialization cap are feasible.  Partial averages are accumulated
+exactly (rationals for rational-valued observables) and emitted on a
+geometric grid of horizons.  The cylinder and prime-pair accumulators turn
+the orbit word into one byte string of hit flags and count each grid segment
+with `bytes.count`, so their sums are integer counts combined with the
+centers at grid points only.  Decay is reported, never "verified": the
+vanishing of these averages is an asymptotic statement, so acceptance rests
+on recorded regression baselines and trend diagnostics, not on the
+conjecture.
 
 The K-floor suspension pairs step n with floor (start_floor + n) % K and
 base position (start_floor + n) // K, modelling a finite cyclic group of
@@ -28,9 +30,9 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import compress
+from itertools import compress, cycle
 from math import isqrt
-from operator import add, mul
+from operator import add, getitem, mul
 
 from .blocks import BlockDag, _check_word
 from .errors import InputError, RangeError
@@ -50,11 +52,19 @@ __all__ = [
 # byte tables: a Mobius value is stored as its low byte, so -1 is 0xff
 _PRIME_TO_MU = bytes.maketrans(b"\x00\x01", b"\x01\xff")
 _NEGATE = bytes.maketrans(b"\x01\xff", b"\xff\x01")
+_PRIME_TO_FLIP = bytes.maketrans(b"\x01", b"\xfe")  # 0x01 ^ 0xfe == 0xff
+# primes above limit // _SPLIT have fewer than _SPLIT multiples in range
+_SPLIT = 16
 _MATCH = {s: bytes(255 * (i == ord(s)) for i in range(256)) for s in "01"}
 
 
 def mobius_sieve(limit):
-    """mu(0..limit) as an array('b'), with mu(0) = 0, by slice sieving."""
+    """mu(0..limit) as an array('b'), with mu(0) = 0, by slice sieving.
+
+    Each n >= 1 starts at -1 if prime, else +1.  A prime p <= limit // _SPLIT
+    negates its stride 2p, 3p, ...; for each m < _SPLIT, one XOR with 0xfe
+    flips m * p for all the larger primes p at once.  The p^2 strides are
+    zeroed last, so every flip meets a +-1."""
     if limit < 1:
         raise InputError("need limit >= 1")
     prime = bytearray([1]) * (limit + 1)
@@ -62,12 +72,15 @@ def mobius_sieve(limit):
     for p in range(2, isqrt(limit) + 1):
         if prime[p]:
             prime[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
-    # every prime starts at -1 and every other n >= 1 at +1; a prime above
-    # limit / 2 has no other multiple in range, so only smaller ones flip
     mu = prime.translate(_PRIME_TO_MU)
     mu[0] = 0
-    for p in compress(range(limit // 2 + 1), prime):
+    split = limit // _SPLIT
+    for p in compress(range(split + 1), prime):
         mu[2 * p :: p] = mu[2 * p :: p].translate(_NEGATE)
+    for m in range(2, _SPLIT):
+        top = limit // m
+        stride = slice(m * (split + 1), m * top + 1, m)  # m * p for split < p <= top
+        mu[stride] = _xor(mu[stride], prime[split + 1 : top + 1].translate(_PRIME_TO_FLIP))
     for p in compress(range(isqrt(limit) + 1), prime):
         mu[p * p :: p * p] = bytes(len(range(p * p, limit + 1, p * p)))
     return array("b", mu)
@@ -175,6 +188,11 @@ def _check_weights(weights, horizon):
         raise InputError(f"need weights at steps 1..{horizon}")
 
 
+def _average(acc, point):
+    """acc / point, exact unless the sum went complex."""
+    return Fraction(acc, point) if isinstance(acc, (int, Fraction)) else acc / point
+
+
 def partial_averages(values, weights, horizon, grid=None):
     """Exact partial averages (1/N') * sum_{n<=N'} values[n] * weights[n].
 
@@ -182,7 +200,8 @@ def partial_averages(values, weights, horizon, grid=None):
     is exact for int/Fraction values and complex otherwise.  Steps with a zero
     weight are skipped and the others add `acc = acc + values[n] * weights[n]`
     in step order, so float sums round the same way on every path.  This is
-    the per-step reference the integer-count accumulators below must match."""
+    the per-step reference that the integer-count accumulators and the
+    eigenfunction averages below must match."""
     _check_weights(weights, horizon)
     get = values if callable(values) else values.__getitem__
     out = []
@@ -190,8 +209,7 @@ def partial_averages(values, weights, horizon, grid=None):
     for point, steps in _grid_steps(horizon, grid):
         w = weights[steps.start : steps.stop]
         acc = reduce(add, map(mul, map(get, compress(steps, w)), compress(w, w)), acc)
-        avg = Fraction(acc, point) if isinstance(acc, (int, Fraction)) else acc / point
-        out.append((point, avg))
+        out.append((point, _average(acc, point)))
     return out
 
 
@@ -203,6 +221,11 @@ def _signed_sum(data, start=0, end=None):
 def _and(a, b):
     """Bytewise AND of two byte strings of one length."""
     return (int.from_bytes(a, "little") & int.from_bytes(b, "little")).to_bytes(len(a), "little")
+
+
+def _xor(a, b):
+    """Bytewise XOR of two byte strings of one length."""
+    return (int.from_bytes(a, "little") ^ int.from_bytes(b, "little")).to_bytes(len(a), "little")
 
 
 def _hit_flags(word, cylinder, length):
@@ -291,10 +314,31 @@ def eigen_suspension_averages(K, power, mu, horizon, start_floor=0):
     """Mobius averages of the floor-rotation eigenfunction exp(2*pi*i*power*f/K).
 
     Step n sits on floor f = (start_floor + n) % K of the K-floor suspension
-    orbit; the eigenfunction reads the floor alone, never the orbit word."""
+    orbit; the eigenfunction reads the floor alone, never the orbit word.
+    The weights mu[1..horizon] must be Mobius values -1, 0 or 1.  Floor f
+    has a row holding table[f] * 1 at byte 0x01 and table[f] * -1 at byte
+    0xff, so each step adds the product `partial_averages` adds, in its
+    order, and the averages match it bit for bit."""
     if K < 1 or not 0 <= start_floor < K:
         raise InputError("need K >= 1 and 0 <= start_floor < K")
+    _check_weights(mu, horizon)
+    weights = array("b")
+    try:
+        # extend, unlike the constructor, reads bytes as 0..255, not as signed bytes
+        weights.extend(mu[1 : horizon + 1])
+    except (OverflowError, TypeError) as exc:
+        raise InputError("Mobius weights must be ints -1, 0 or 1") from exc
+    signs = weights.tobytes()  # byte n - 1 is step n
+    if signs.translate(None, b"\x00\x01\xff"):
+        raise InputError("Mobius weights must be ints -1, 0 or 1")
     table = [cmath.exp(2j * cmath.pi * power * f / K) for f in range(K)]
-    # values[n] = table[(start_floor + n) % K], one list for the whole horizon
-    values = (table[start_floor:] + table[:start_floor]) * (horizon // K + 1)
-    return partial_averages(values, mu, horizon)
+    rows = [[None, v * 1, *[None] * 253, v * -1] for v in table]  # indexed by signed byte
+    out = []
+    acc = 0
+    for point, steps in _grid_steps(horizon, None):
+        first = (start_floor + steps.start) % K
+        floors = cycle(rows[first:] + rows[:first])
+        seg = signs[steps.start - 1 : steps.stop - 1]
+        acc = reduce(add, compress(map(getitem, floors, seg), seg), acc)
+        out.append((point, _average(acc, point)))
+    return out

@@ -381,6 +381,9 @@ MALFORMED_MESSAGES = {
     "heights-n-0": "stage 0 outside 1..8",
     "cocycle-n-negative": "stage -1 is negative",
     "correlate-exact-samples": "--samples applies to --method sampled only",
+    "sarnak-N-0": "--N must be >= 1",
+    "suspend-N-0": "--N must be >= 1",
+    "primepair-N-negative": "--N must be >= 1",
 }
 
 
@@ -427,6 +430,12 @@ MALFORMED_MESSAGES = {
         ["cocycle", "--config", "chacon:depth=30", "-n", "-1"],
         ["correlate", "--config", "chacon:depth=8", "--stage", "5", "--w1", "0", "--w2", "0",
          "--lag", "1", "--method", "exact", "--samples", "0"],
+        ["sarnak", "--config", "chacon:depth=20", "--observable", "cyl:0", "--N", "0",
+         "--stage", "10"],
+        ["suspend", "--config", "chacon:depth=20", "--K", "3", "--observable", "eigen:1",
+         "--N", "0", "--stage", "10"],
+        ["primepair", "--config", "chacon:depth=20", "--observable", "cyl:0", "--N", "-3",
+         "-p", "2", "-q", "3"],
     ],
     ids=["missing-config", "bad-family-arg", "bad-pairs", "list-config", "start-0",
          "start-0-small-cap", "bad-powers",
@@ -439,7 +448,7 @@ MALFORMED_MESSAGES = {
          "freq-words-none", "freq-word-longer-than-block", "freq-words-and-maxlen",
          "certify-pairs-one-power",
          "certify-pairs-reversed", "heights-n-0", "cocycle-n-negative",
-         "correlate-exact-samples"],
+         "correlate-exact-samples", "sarnak-N-0", "suspend-N-0", "primepair-N-negative"],
 )
 def test_malformed_input_exits_2(tmp_path, capsys, request, argv):
     for name, doc in MALFORMED_DOCS.items():

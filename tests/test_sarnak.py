@@ -53,9 +53,11 @@ def test_sieve_index_zero(limit):
 
 
 def test_sieve_against_factorization():
-    mu = mobius_sieve(3000)
-    for n in range(1, 3001):
-        assert mu[n] == _mu_by_factorization(n)
+    table = [0] + [_mu_by_factorization(n) for n in range(1, 3001)]
+    assert mobius_sieve(3000).tolist() == table
+    # the split between per-prime and per-multiplier flips moves with the limit
+    for limit in range(1, 401):
+        assert mobius_sieve(limit).tolist() == table[: limit + 1], limit
 
 
 def test_sieve_multiplicative_property(rng):
@@ -77,6 +79,10 @@ def test_mertens_small():
     assert mertens(mu) == mertens(mu, None) == 1
     assert mertens(mobius_sieve(10), 0) == 0
     assert mertens(mu, 1) == 1
+    mu = mobius_sieve(10**6)
+    assert mertens(mu, 10**4) == -23
+    assert mertens(mu, 10**5) == -48
+    assert mertens(mu) == 212
 
 
 @pytest.mark.parametrize("limit", [-1, 11, 1000])
@@ -339,18 +345,26 @@ def test_suspension_floor_arithmetic():
     for K, start_floor in ((0, 0), (3, 3), (3, -1)):
         with pytest.raises(InputError):
             eigen_suspension_averages(K, 1, mu, 9, start_floor)
+    # weights are Mobius values: anything else is refused, never reduced to a byte
+    for bad in (2, -2, 127, 255, 300, -129, 2**70, 1.0, "1", None):
+        with pytest.raises(InputError):
+            eigen_suspension_averages(3, 1, [0, 1, -1, bad, 0], 4)
+    with pytest.raises(InputError):
+        eigen_suspension_averages(3, 1, b"\x00\x01\xff\x00\x00", 4)  # 0xff is 255 here
 
 
-@pytest.mark.parametrize("K", [1, 2, 3, 5])
+@pytest.mark.parametrize("K", [1, 2, 3, 5, 128, 300])
 def test_eigen_matches_partial_averages_bit_for_bit(K):
-    horizon = 3000
-    mu = mobius_sieve(horizon)
-    for power in (1, 2):
+    mu = mobius_sieve(3000)
+    for power in (0, 1, 2, -2):
         table = [cmath.exp(2j * cmath.pi * power * f / K) for f in range(K)]
-        for start_floor in range(K):
-            rows = eigen_suspension_averages(K, power, mu, horizon, start_floor)
-            reference = partial_averages(lambda n: table[(start_floor + n) % K], mu, horizon)
-            assert repr(rows) == repr(reference)
+        for start_floor in sorted({*range(min(K, 4)), K // 2, K - 1}):
+            for horizon in (1, 2, 3000):
+                rows = eigen_suspension_averages(K, power, mu, horizon, start_floor)
+                reference = partial_averages(lambda n: table[(start_floor + n) % K], mu, horizon)
+                assert repr(rows) == repr(reference)
+    with pytest.raises(InputError):
+        eigen_suspension_averages(K, 1, mu[:3000], 3000)
 
 
 def test_suspension_eigen_power_and_k1():
