@@ -20,7 +20,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .blocks import BlockDag, cylinder_words
+from .blocks import DEFAULT_CAP, BlockDag, cylinder_words
 from .construction import heights, load_construction, read_config
 from .correlations import (
     correlation,
@@ -40,6 +40,8 @@ from .limits import (
 from .odometer import cocycle_distribution
 from .sarnak import (
     OrbitSpec,
+    _check_window,
+    _orbit_reach,
     cylinder_sarnak_averages,
     eigen_suspension_averages,
     mobius_sieve,
@@ -455,17 +457,10 @@ def cmd_katok(run):
     return 0
 
 
-def _orbit_spec(args, floors=1):
+def _orbit_spec(args, splice_suffix=0, splice_ones=0):
     if args.N < 1:
         raise InputError("--N must be >= 1")
-    return OrbitSpec(
-        stage=args.stage,
-        offset=args.offset,
-        splice_suffix=getattr(args, "splice_suffix", 0) or 0,
-        splice_ones=getattr(args, "splice_ones", 0) or 0,
-        floors=floors,
-        start_floor=getattr(args, "start_floor", 0) or 0,
-    )
+    return OrbitSpec(args.stage, args.offset, splice_suffix, splice_ones)
 
 
 def _parse_observable(text):
@@ -482,12 +477,27 @@ def _parse_observable(text):
     raise InputError(f"unknown observable {text!r} (use cyl:<word> or eigen:<j>)")
 
 
-def _cylinder_averages(dag, spec, cylinder, center, horizon):
-    """Mobius averages of a centered cylinder along the orbit of `spec`; a
-    per-floor `center` list makes it the K-floor suspension orbit."""
-    word = orbit_word(dag, spec, (spec.start_floor + horizon) // spec.floors + len(cylinder) + 1)
+def _cylinder_and_center(run, dag, by_frequency):
+    """The --observable cylinder and its centering constant: --center-value if
+    given, else the block frequency if `by_frequency`, else 0."""
+    kind, cylinder = _parse_observable(run.args.observable)
+    if kind != "cyl":
+        raise InputError(f"{run.args.command} expects a cylinder observable; "
+                         "use suspend for eigen")
+    if run.args.center_value is not None:
+        return cylinder, _parse_fraction(run.args.center_value)
+    if by_frequency:
+        return cylinder, dag.frequency(cylinder, run.args.stage).frequency
+    return cylinder, Fraction(0)
+
+
+def _cylinder_averages(dag, spec, cylinder, center, horizon, floors=1, start_floor=0):
+    """Mobius averages of a centered cylinder along the orbit of `spec`, on
+    `floors` floors from `start_floor`."""
+    reach = _orbit_reach(floors, start_floor, horizon)
+    word = orbit_word(dag, spec, reach + len(cylinder) - 1)
     return cylinder_sarnak_averages(
-        word, cylinder, center, mobius_sieve(horizon), horizon, start_floor=spec.start_floor
+        word, cylinder, center, mobius_sieve(horizon), horizon, floors, start_floor
     )
 
 
@@ -497,17 +507,10 @@ def _write_averages(run, name, rows, fmt=_rat):
 
 def cmd_sarnak(run):
     dag = _load_dag(run)
-    kind, payload = _parse_observable(run.args.observable)
-    if kind != "cyl":
-        raise InputError("sarnak expects a cylinder observable; use suspend for eigen")
-    spec = _orbit_spec(run.args)
-    if run.args.center_value is not None:
-        center = _parse_fraction(run.args.center_value)
-    elif run.args.center:
-        center = dag.frequency(payload, spec.stage).frequency
-    else:
-        center = Fraction(0)
-    rows = _cylinder_averages(dag, spec, payload, center, run.args.N)
+    args = run.args
+    spec = _orbit_spec(args, args.splice_suffix, args.splice_ones)
+    cylinder, center = _cylinder_and_center(run, dag, args.center)
+    rows = _cylinder_averages(dag, spec, cylinder, center, args.N)
     _write_averages(run, "sarnak.csv", rows)
     print(f"final |average| at N={rows[-1][0]}: {float(abs(rows[-1][1])):.3e}")
     return 0
@@ -515,18 +518,11 @@ def cmd_sarnak(run):
 
 def cmd_primepair(run):
     dag = _load_dag(run)
-    kind, payload = _parse_observable(run.args.observable)
-    if kind != "cyl":
-        raise InputError("prime-pair correlations need a cylinder observable")
-    p, q = run.args.p, run.args.q
-    horizon = run.args.N
+    p, q, horizon = run.args.p, run.args.q, run.args.N
     spec = _orbit_spec(run.args)
-    word = orbit_word(dag, spec, max(p, q) * horizon + len(payload) + 1)
-    if run.args.center_value is not None:
-        center = _parse_fraction(run.args.center_value)
-    else:
-        center = dag.frequency(payload, spec.stage).frequency
-    rows = prime_power_averages(word, payload, center, p, q, horizon)
+    cylinder, center = _cylinder_and_center(run, dag, True)
+    word = orbit_word(dag, spec, max(p, q) * horizon + len(cylinder))
+    rows = prime_power_averages(word, cylinder, center, p, q, horizon)
     _write_averages(run, "primepair.csv", rows)
     print(f"final average at N={rows[-1][0]}: {float(rows[-1][1]):.3e}")
     return 0
@@ -535,18 +531,17 @@ def cmd_primepair(run):
 def cmd_suspend(run):
     dag = _load_dag(run)
     kind, payload = _parse_observable(run.args.observable)
-    K, horizon = run.args.K, run.args.N
-    spec = _orbit_spec(run.args, floors=K)
+    K, start_floor, horizon = run.args.K, run.args.start_floor, run.args.N
+    spec = _orbit_spec(run.args)
     if kind == "eigen":
         # the eigenfunction reads only the floor, but the orbit must stay in B_stage
-        orbit_word(dag, spec, (spec.start_floor + horizon) // K + 2)
-        mu = mobius_sieve(horizon)
-        rows = eigen_suspension_averages(K, payload, mu, horizon, spec.start_floor)
+        _check_window(dag, spec, _orbit_reach(K, start_floor, horizon))
+        rows = eigen_suspension_averages(K, payload, mobius_sieve(horizon), horizon, start_floor)
         _write_averages(run, "suspend.csv", rows, lambda z: f"{z.real:.17g}{z.imag:+.17g}i")
     else:
-        # the floors are measure-uniform: every floor is centered by the block frequency
-        centers = [dag.frequency(payload, spec.stage).frequency] * K
-        rows = _cylinder_averages(dag, spec, payload, centers, horizon)
+        # the floors are measure-uniform: the block frequency centers every floor
+        center = dag.frequency(payload, spec.stage).frequency
+        rows = _cylinder_averages(dag, spec, payload, center, horizon, K, start_floor)
         _write_averages(run, "suspend.csv", rows)
     print(f"final |average| at N={rows[-1][0]}: {float(abs(rows[-1][1])):.3e}")
     return 0
@@ -577,7 +572,7 @@ def build_parser():
         )
         p.add_argument("--out", default=None, help=f"output directory (default ${ENV_OUT} or .)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--cap", type=int, default=10_000_000, help="materialization cap")
+        p.add_argument("--cap", type=int, default=DEFAULT_CAP, help="materialization cap")
         if seed:
             p.add_argument("--seed", type=int, default=0)
         if orbit:

@@ -11,7 +11,7 @@ exactly (rationals for rational-valued observables) and emitted on a
 geometric grid of horizons.  The cylinder and prime-pair accumulators turn
 the orbit word into one byte string of hit flags and count each grid segment
 with `bytes.count`, so their sums are integer counts combined with the
-centers at grid points only.  Decay is reported, never "verified": the
+center at grid points only.  Decay is reported, never "verified": the
 vanishing of these averages is an asymptotic statement, so acceptance rests
 on recorded regression baselines and trend diagnostics, not on the
 conjecture.
@@ -19,8 +19,8 @@ conjecture.
 The K-floor suspension pairs step n with floor (start_floor + n) % K and
 base position (start_floor + n) // K, modelling a finite cyclic group of
 eigenvalues.  An eigenfunction of the floor rotation depends on the floor
-alone; a cylinder observable reads the base word and is centered floor by
-floor inside the integer-count accumulator.
+alone; a cylinder observable reads the base word and is centered by one
+constant, since the floors carry equal measure.
 """
 
 from __future__ import annotations
@@ -108,22 +108,18 @@ class OrbitSpec:
     realizes points near the all-spacers fixed point: the last `splice_suffix`
     symbols of B_stage, then `splice_ones` spacers, then a prefix of B_stage.
     Spliced words need not belong to the language and are flagged as such.
-    `floors` >= 2 with `start_floor` selects a suspension orbit."""
+    A suspension orbit's base starts here; the accumulators count its floors."""
 
     stage: int
     offset: int = 1
     splice_suffix: int = 0
     splice_ones: int = 0
-    floors: int = 1
-    start_floor: int = 0
 
     def __post_init__(self):
         if self.offset < 1 or self.stage < 1:
             raise InputError("stage and offset must be >= 1")
         if self.splice_suffix < 0 or self.splice_ones < 0:
             raise InputError("splice lengths must be >= 0")
-        if self.floors < 1 or not 0 <= self.start_floor < self.floors:
-            raise InputError("need floors >= 1 and 0 <= start_floor < floors")
 
     @property
     def spliced(self):
@@ -134,13 +130,10 @@ def orbit_word(dag: BlockDag, spec: OrbitSpec, length):
     """The first `length` symbols of the orbit's itinerary word."""
     if length < 1:
         raise InputError("need length >= 1")
-    h = dag.height(spec.stage)
     if not spec.spliced:
-        if spec.offset + length - 1 > h:
-            raise RangeError(
-                f"window [{spec.offset}, {spec.offset + length - 1}] leaves B_{spec.stage}"
-            )
+        _check_window(dag, spec, length)
         return dag.extract(spec.stage, spec.offset, length)
+    h = dag.height(spec.stage)
     if spec.splice_suffix > h:
         raise RangeError("splice suffix longer than the block")
     parts = []
@@ -156,31 +149,32 @@ def orbit_word(dag: BlockDag, spec: OrbitSpec, length):
     return "".join(parts)
 
 
+def _check_window(dag, spec, length):
+    """Raise unless the plain orbit's first `length` symbols lie in B_stage."""
+    end = spec.offset + length - 1
+    if end > dag.height(spec.stage):
+        raise RangeError(f"window [{spec.offset}, {end}] leaves B_{spec.stage}")
+
+
+def _orbit_reach(floors, start_floor, horizon):
+    """The number of word positions, 0..(start_floor + horizon) // floors, that a
+    `floors`-floor suspension orbit spans in `horizon` steps; one floor is the plain orbit."""
+    if floors < 1 or not 0 <= start_floor < floors:
+        raise InputError("need floors >= 1 and 0 <= start_floor < floors")
+    return (start_floor + horizon) // floors + 1
+
+
 def geometric_grid(horizon):
     """Horizons ceil(N / 2^k), deduplicated, ascending."""
     if horizon < 1:
         raise InputError("need horizon >= 1")
-    grid = set()
-    k = 0
-    while True:
-        n = -(-horizon // (2 ** k))
-        grid.add(n)
-        if n == 1:
-            break
-        k += 1
-    return sorted(grid)
+    return sorted({-(-horizon >> k) for k in range(horizon.bit_length() + 1)})
 
 
-def _grid_steps(horizon, grid):
-    """(N', steps since the previous grid point) for each point of the sorted,
-    deduplicated grid (default: geometric), all of which must lie in 1..horizon."""
-    grid = sorted(set(grid or geometric_grid(horizon)))
-    if grid[0] < 1 or grid[-1] > horizon:
-        raise InputError("grid points must lie in 1..horizon")
-    prev = 0
-    for point in grid:
-        yield point, range(prev + 1, point + 1)
-        prev = point
+def _grid_steps(horizon):
+    """(N', steps since the previous grid point) for each N' of the geometric grid."""
+    grid = geometric_grid(horizon)
+    return [(point, range(prev + 1, point + 1)) for prev, point in zip([0] + grid, grid)]
 
 
 def _check_weights(weights, horizon):
@@ -188,12 +182,28 @@ def _check_weights(weights, horizon):
         raise InputError(f"need weights at steps 1..{horizon}")
 
 
+def _signs(mu, horizon):
+    """mu[1..horizon] as bytes, byte n - 1 holding step n's Mobius value as its
+    low byte (-1 is 0xff); anything but an int -1, 0 or 1 is refused."""
+    _check_weights(mu, horizon)
+    weights = array("b")
+    try:
+        # extend, unlike the constructor, reads bytes as 0..255, not as signed bytes
+        weights.extend(mu[1 : horizon + 1])
+    except (OverflowError, TypeError) as exc:
+        raise InputError("Mobius weights must be ints -1, 0 or 1") from exc
+    signs = weights.tobytes()
+    if signs.translate(None, b"\x00\x01\xff"):
+        raise InputError("Mobius weights must be ints -1, 0 or 1")
+    return signs
+
+
 def _average(acc, point):
     """acc / point, exact unless the sum went complex."""
     return Fraction(acc, point) if isinstance(acc, (int, Fraction)) else acc / point
 
 
-def partial_averages(values, weights, horizon, grid=None):
+def partial_averages(values, weights, horizon):
     """Exact partial averages (1/N') * sum_{n<=N'} values[n] * weights[n].
 
     `values` is indexed from 1 (callable or sequence with [n]); accumulation
@@ -206,7 +216,7 @@ def partial_averages(values, weights, horizon, grid=None):
     get = values if callable(values) else values.__getitem__
     out = []
     acc = 0
-    for point, steps in _grid_steps(horizon, grid):
+    for point, steps in _grid_steps(horizon):
         w = weights[steps.start : steps.stop]
         acc = reduce(add, map(mul, map(get, compress(steps, w)), compress(w, w)), acc)
         out.append((point, _average(acc, point)))
@@ -236,44 +246,36 @@ def _hit_flags(word, cylinder, length):
                          for k, symbol in enumerate(cylinder)))
 
 
-def cylinder_sarnak_averages(word, cylinder, center, mu, horizon, grid=None, start_floor=0):
-    """Mobius averages of a centered cylinder observable, via integer counts.
+def cylinder_sarnak_averages(word, cylinder, center, mu, horizon, floors=1, start_floor=0):
+    """Mobius averages of a cylinder observable minus `center`, via integer counts.
 
-    `center` is one rational, or one per floor of a K-floor suspension orbit.
-    Step n sits on floor (start_floor + n) % K and reads word position
-    (start_floor + n) // K, so the partial sum splits into an integer hit sum
-    and one Mertens counter per floor, combined exactly at grid points only."""
+    Step n of a `floors`-floor suspension orbit sits on floor (start_floor + n) % floors
+    and reads word position (start_floor + n) // floors, so the partial sum splits into
+    an integer hit sum and the Mertens sum, combined exactly at grid points only."""
     _check_word(cylinder)
-    centers = [Fraction(c) for c in (center if isinstance(center, (list, tuple)) else [center])]
-    K = len(centers)
-    if not 0 <= start_floor < K:
-        raise InputError("need 0 <= start_floor < number of floors")
-    if len(word) < (start_floor + horizon) // K + len(cylinder):
+    center = Fraction(center)
+    reach = _orbit_reach(floors, start_floor, horizon)
+    if len(word) < reach + len(cylinder) - 1:
         raise RangeError("orbit word too short for the horizon and window")
-    segments = list(_grid_steps(horizon, grid))
-    _check_weights(mu, horizon)
-    signs = array("b", mu[: horizon + 1]).tobytes()
-    hits = _hit_flags(word, cylinder, (start_floor + horizon) // K + 1)
-    # byte n of `stepped` flags a hit at the word position step n reads
-    stepped = bytearray(horizon + 1)
-    for floor in range(K):
-        base = (start_floor + floor) // K
-        stepped[floor::K] = hits[base : base + len(range(floor, horizon + 1, K))]
+    segments = _grid_steps(horizon)
+    signs = _signs(mu, horizon)
+    hits = _hit_flags(word, cylinder, reach)
+    # byte n - 1 of `stepped` flags a hit at the word position step n reads
+    stepped = bytearray(horizon)
+    for floor in range(floors):
+        base = (start_floor + floor + 1) // floors
+        stepped[floor::floors] = hits[base : base + len(range(floor, horizon, floors))]
     hit_signs = _and(signs, stepped)
     out = []
-    hit_sum = 0
-    mertens_by_floor = [0] * K
+    hit_sum = mertens_sum = 0
     for point, steps in segments:
-        hit_sum += _signed_sum(hit_signs, steps.start, steps.stop)
-        for floor in range(K):
-            first = steps.start + (floor - start_floor - steps.start) % K
-            mertens_by_floor[floor] += _signed_sum(signs[first : steps.stop : K])
-        centered = hit_sum - sum(c * s for c, s in zip(centers, mertens_by_floor))
-        out.append((point, Fraction(centered, point)))
+        hit_sum += _signed_sum(hit_signs, steps.start - 1, point)
+        mertens_sum += _signed_sum(signs, steps.start - 1, point)
+        out.append((point, Fraction(hit_sum - center * mertens_sum, point)))
     return out
 
 
-def prime_power_averages(word, cylinder, center, p, q, horizon, grid=None):
+def prime_power_averages(word, cylinder, center, p, q, horizon):
     """Partial averages of f(T^{pn} omega) * f(T^{qn} omega) for f centered.
 
     With hits h_p, h_q in {0, 1}, (h_p - c)(h_q - c) expands to
@@ -290,7 +292,7 @@ def prime_power_averages(word, cylinder, center, p, q, horizon, grid=None):
     need = max(p, q) * horizon + len(cylinder)
     if len(word) < need:
         raise RangeError(f"orbit word must cover {need} symbols")
-    segments = list(_grid_steps(horizon, grid))
+    segments = _grid_steps(horizon)
     hits = _hit_flags(word, cylinder, max(p, q) * horizon + 1)
     hits_p = hits[: p * horizon + 1 : p]  # byte n flags a hit at word position p * n
     hits_q = hits[: q * horizon + 1 : q]
@@ -319,23 +321,14 @@ def eigen_suspension_averages(K, power, mu, horizon, start_floor=0):
     has a row holding table[f] * 1 at byte 0x01 and table[f] * -1 at byte
     0xff, so each step adds the product `partial_averages` adds, in its
     order, and the averages match it bit for bit."""
-    if K < 1 or not 0 <= start_floor < K:
-        raise InputError("need K >= 1 and 0 <= start_floor < K")
-    _check_weights(mu, horizon)
-    weights = array("b")
-    try:
-        # extend, unlike the constructor, reads bytes as 0..255, not as signed bytes
-        weights.extend(mu[1 : horizon + 1])
-    except (OverflowError, TypeError) as exc:
-        raise InputError("Mobius weights must be ints -1, 0 or 1") from exc
-    signs = weights.tobytes()  # byte n - 1 is step n
-    if signs.translate(None, b"\x00\x01\xff"):
-        raise InputError("Mobius weights must be ints -1, 0 or 1")
+    _orbit_reach(K, start_floor, horizon)  # refuses a start floor outside 0..K-1
+    segments = _grid_steps(horizon)
+    signs = _signs(mu, horizon)
     table = [cmath.exp(2j * cmath.pi * power * f / K) for f in range(K)]
     rows = [[None, v * 1, *[None] * 253, v * -1] for v in table]  # indexed by signed byte
     out = []
     acc = 0
-    for point, steps in _grid_steps(horizon, None):
+    for point, steps in segments:
         first = (start_floor + steps.start) % K
         floors = cycle(rows[first:] + rows[:first])
         seg = signs[steps.start - 1 : steps.stop - 1]

@@ -345,12 +345,35 @@ def test_suspend_cylinder_observable(tmp_path, capsys):
 
 def test_suspend_eigen_orbit_leaving_block_exits_2(tmp_path, capsys):
     # the eigenfunction reads no symbol, yet steps 1..30 on 3 floors move the
-    # base from offset 115 past h_5 = 121: the orbit leaves B_5
+    # base 10 positions on: from offset 111 to h_5 = 121, from 112 past it
     argv = ["suspend", "--config", "chacon:depth=12", "--K", "3", "--observable", "eigen:1",
             "--N", "30", "--stage", "5", "--out", str(tmp_path)]
     assert main(argv + ["--offset", "115"]) == 2
     assert "leaves B_5" in capsys.readouterr().err
+    assert main(argv + ["--offset", "112"]) == 2
+    assert "window [112, 122] leaves B_5" in capsys.readouterr().err
+    assert main(argv + ["--offset", "111"]) == 0
+
+
+def test_suspend_eigen_checks_the_orbit_without_extracting(tmp_path, capsys, monkeypatch):
+    def extract(*args):
+        raise AssertionError("the eigen path reads no symbol")
+
+    monkeypatch.setattr("rankone.blocks.BlockDag.extract", extract)
+    argv = ["suspend", "--config", "chacon:depth=12", "--K", "3", "--observable", "eigen:1",
+            "--N", "30", "--stage", "5", "--out", str(tmp_path)]
+    assert main(argv + ["--offset", "111"]) == 0
+    assert main(argv + ["--offset", "112"]) == 2
+    assert "leaves B_5" in capsys.readouterr().err
+
+
+def test_sarnak_orbit_may_end_on_the_last_symbol(tmp_path, capsys):
+    # steps 1..10 read cyl:01 at offsets 111..120, so the last window ends on h_5 = 121
+    argv = ["sarnak", "--config", "chacon:depth=12", "--observable", "cyl:01", "--N", "10",
+            "--stage", "5", "--out", str(tmp_path)]
     assert main(argv + ["--offset", "110"]) == 0
+    assert main(argv + ["--offset", "111"]) == 2
+    assert "window [111, 122] leaves B_5" in capsys.readouterr().err
 
 
 # each profile document differs from a valid one (pj exits 0 on it) in one field

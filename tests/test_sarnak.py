@@ -96,11 +96,10 @@ def test_geometric_grid():
     assert geometric_grid(1) == [1]
 
 
-def _per_step(value, weights, horizon, grid=None):
+def _per_step(value, weights, horizon):
     """Partial averages by the plain loop acc = acc + value(n) * weights[n]."""
-    points = sorted(set(grid or geometric_grid(horizon)))
     out, acc, n = [], 0, 0
-    for point in points:
+    for point in geometric_grid(horizon):
         while n < point:
             n += 1
             if weights[n]:
@@ -110,10 +109,11 @@ def _per_step(value, weights, horizon, grid=None):
 
 
 def test_partial_averages_match_per_step_loop(rng):
-    mu = mobius_sieve(500)
     table = [cmath.exp(2j * cmath.pi * f / 7) for f in range(7)]
-    for horizon in (1, 2, 3, 37, 500):
-        for grid in (None, sorted(rng.sample(range(1, horizon + 1), min(horizon, 4)))):
+    # the reference takes any weights, not only Mobius values
+    weights = [0] + [rng.randint(-3, 3) for _ in range(500)]
+    for mu in (mobius_sieve(500), weights):
+        for horizon in (1, 2, 3, 37, 500):
             def ints(n):
                 return n % 5 - 2
 
@@ -121,11 +121,11 @@ def test_partial_averages_match_per_step_loop(rng):
                 return table[n * n % 7]
 
             for value in (ints, floats):
-                rows = partial_averages(value, mu, horizon, grid)
-                expected = _per_step(value, mu, horizon, grid)
+                rows = partial_averages(value, mu, horizon)
+                expected = _per_step(value, mu, horizon)
                 assert repr(rows) == repr(expected)
                 listed = [value(n) for n in range(horizon + 1)]
-                assert repr(partial_averages(listed, mu, horizon, grid)) == repr(expected)
+                assert repr(partial_averages(listed, mu, horizon)) == repr(expected)
 
 
 def test_partial_averages_constant_observable():
@@ -153,24 +153,20 @@ def test_cylinder_counts_match_per_step_reference(K):
     dag = BlockDag(chacon(14))
     horizon = 700
     mu = mobius_sieve(horizon)
-    centers = [Fraction(2, 3), Fraction(1, 5), Fraction(0)][:K]
+    center = Fraction(2, 3)
     for start_floor in range(K):
-        spec = OrbitSpec(stage=10, offset=3, floors=K, start_floor=start_floor)
-        word = orbit_word(dag, spec, (start_floor + horizon) // K + 3)
+        # the word ends on the last symbol the last step's window reads
+        word = orbit_word(dag, OrbitSpec(stage=10, offset=3), (start_floor + horizon) // K + 2)
 
         def centered_hit(n):
             # step n: floor (start_floor + n) % K, base position (start_floor + n) // K
-            base, floor = divmod(start_floor + n, K)
-            return int(word.startswith("01", base)) - centers[floor]
+            base = (start_floor + n) // K
+            return int(word.startswith("01", base)) - center
 
-        rows = cylinder_sarnak_averages(
-            word, "01", centers if K > 1 else centers[0], mu, horizon, start_floor=start_floor
-        )
+        rows = cylinder_sarnak_averages(word, "01", center, mu, horizon, K, start_floor)
         assert rows == partial_averages(centered_hit, mu, horizon)
-        grid = [1, 2, 50, 699, 700]
-        assert cylinder_sarnak_averages(
-            word, "01", centers, mu, horizon, grid=grid, start_floor=start_floor
-        ) == partial_averages(centered_hit, mu, horizon, grid=grid)
+        with pytest.raises(RangeError):
+            cylinder_sarnak_averages(word[:-1], "01", center, mu, horizon, K, start_floor)
 
 
 @pytest.mark.parametrize("K", [1, 2, 3, 5])
@@ -178,22 +174,19 @@ def test_cylinder_counts_match_reference_grid_of_shapes(K, rng):
     dag = BlockDag(chacon(14))
     mu = mobius_sieve(1000)
     for cylinder in ("0", "1", "00", "01", "10", "11", "010", "101"):
-        centers = [Fraction(rng.randint(0, 6), 7) for _ in range(K)]
+        center = Fraction(rng.randint(0, 6), 7)
         for horizon in (1, 2, 3, 7, 100, 1000):
             for start_floor in range(K):
-                spec = OrbitSpec(stage=12, offset=rng.randint(1, 5000), floors=K,
-                                 start_floor=start_floor)
+                spec = OrbitSpec(stage=12, offset=rng.randint(1, 5000))
                 word = orbit_word(dag, spec, (start_floor + horizon) // K + len(cylinder))
 
                 def centered_hit(n):
-                    base, floor = divmod(start_floor + n, K)
-                    return int(word.startswith(cylinder, base)) - centers[floor]
+                    base = (start_floor + n) // K
+                    return int(word.startswith(cylinder, base)) - center
 
-                grids = [None, [horizon], sorted({1, horizon, rng.randint(1, horizon)})]
-                for grid in grids:
-                    rows = cylinder_sarnak_averages(word, cylinder, centers, mu, horizon,
-                                                    grid=grid, start_floor=start_floor)
-                    assert rows == partial_averages(centered_hit, mu, horizon, grid)
+                rows = cylinder_sarnak_averages(word, cylinder, center, mu, horizon, K,
+                                                start_floor)
+                assert rows == partial_averages(centered_hit, mu, horizon)
 
 
 def test_prime_power_counts_match_per_step_loop(rng):
@@ -229,21 +222,19 @@ def test_prime_power_counts_match_per_step_fractions():
     rows = prime_power_averages(word, "10", center, 2, 3, 900)
     assert [n for n, _ in rows] == geometric_grid(900)
     assert all(v == expected[n] for n, v in rows)
-    rows = prime_power_averages(word, "10", center, 3, 2, 900, grid=[7, 900, 7, 450])
-    assert rows == [(n, expected[n]) for n in (7, 450, 900)]
+    # the observable is symmetric in the two steps
+    assert prime_power_averages(word, "10", center, 3, 2, 900) == rows
 
 
-@pytest.mark.parametrize("grid", [[5, 101], [0, 5], [-1]])
-def test_grid_points_outside_horizon_raise(grid):
-    dag = BlockDag(chacon(20))
-    word = orbit_word(dag, OrbitSpec(stage=10), 400)
+@pytest.mark.parametrize("floors, start_floor", [(0, 0), (3, 3), (3, -1)])
+def test_start_floor_outside_floors_raises(floors, start_floor):
+    # refused before any division by the floor count
+    word = "01" * 100
     mu = mobius_sieve(100)
     with pytest.raises(InputError):
-        partial_averages(lambda n: 1, mu, 100, grid=grid)
+        cylinder_sarnak_averages(word, "0", Fraction(0), mu, 100, floors, start_floor)
     with pytest.raises(InputError):
-        cylinder_sarnak_averages(word, "0", Fraction(0), mu, 100, grid=grid)
-    with pytest.raises(InputError):
-        prime_power_averages(word, "0", Fraction(0), 2, 3, 100, grid=grid)
+        eigen_suspension_averages(floors, 1, mu, 100, start_floor)
 
 
 def test_accumulators_refuse_short_weights_and_bad_horizons():
@@ -259,6 +250,12 @@ def test_accumulators_refuse_short_weights_and_bad_horizons():
             cylinder_sarnak_averages(word, "0", Fraction(0), mu, horizon)
         with pytest.raises(InputError):
             prime_power_averages(word, "0", Fraction(0), 2, 3, horizon)
+    # weights are Mobius values: a 2 would count as 0, a 300 would overflow a
+    # byte, and a bytes 0xff is 255 (the reference reads it so), not -1
+    for weights in ([0] + [2] * 20, [0] + [300] * 20, b"\x00" + b"\xff" * 20):
+        assert partial_averages(lambda n: 1, weights, 8)[-1][1] == weights[1]
+        with pytest.raises(InputError):
+            cylinder_sarnak_averages(word, "0", 0, weights, 8)
 
 
 def test_geometric_grid_needs_positive_horizon():
@@ -342,9 +339,6 @@ def test_suspension_floor_arithmetic():
         total = sum(mu[n] * cmath.exp(2j * cmath.pi * ((1 + n) % 3) / 3)
                     for n in range(1, point + 1))
         assert average == pytest.approx(total / point)
-    for K, start_floor in ((0, 0), (3, 3), (3, -1)):
-        with pytest.raises(InputError):
-            eigen_suspension_averages(K, 1, mu, 9, start_floor)
     # weights are Mobius values: anything else is refused, never reduced to a byte
     for bad in (2, -2, 127, 255, 300, -129, 2**70, 1.0, "1", None):
         with pytest.raises(InputError):
@@ -379,7 +373,7 @@ def test_suspension_eigen_power_and_k1():
 def test_floor_centering_integrates_to_zero(tmp_path):
     # suspend cyl: centers every floor by the block frequency, so the centered
     # observable has mean zero under the product of the block measure and the
-    # uniform floor measure; the CSV is the accumulator with those centers
+    # uniform floor measure; the CSV is the accumulator with that one center
     K, stage, horizon = 3, 10, 600
     code, _ = run_argv(
         ["suspend", "--config", "chacon:depth=12", "--K", str(K), "--observable", "cyl:0",
@@ -388,11 +382,10 @@ def test_floor_centering_integrates_to_zero(tmp_path):
     assert code == 0
     dag = BlockDag(chacon(12))
     freq = dag.frequency("0", stage).frequency
-    centers = [freq] * K
-    assert sum((freq - c) * Fraction(1, K) for c in centers) == 0
-    spec = OrbitSpec(stage=stage, floors=K, start_floor=2)
-    word = orbit_word(dag, spec, (2 + horizon) // K + 2)
-    rows = cylinder_sarnak_averages(word, "0", centers, mobius_sieve(horizon), horizon,
-                                    start_floor=2)
+    # every floor carries the block measure, so the one center makes each
+    # floor's observable, and their uniform mixture, integrate to zero
+    assert dag.materialize(stage).count("0") - freq * dag.height(stage) == 0
+    word = orbit_word(dag, OrbitSpec(stage=stage), (2 + horizon) // K + 1)
+    rows = cylinder_sarnak_averages(word, "0", freq, mobius_sieve(horizon), horizon, K, 2)
     lines = (tmp_path / "suspend.csv").read_text().splitlines()
     assert lines[1:] == [f"{n},{v.numerator}/{v.denominator}" for n, v in rows]
