@@ -75,8 +75,12 @@ class BlockDag:
     stays inside one piece, and `segments` splits a range into pieces.
     Counts of words and word pairs read the spacer rows alone: each stage
     joins its row's pieces, cut down to their edges, into one seam string.
-    Queries are deterministic and fill one cache only: the blocks up to
-    `memo_limit` symbols.
+
+    Every block begins with the block before it, so B_1, B_2, ... are
+    prefixes of one limit word.  `__init__` also builds `_prefix`, the
+    deepest block of at most `memo_limit` symbols; any range of any block
+    that ends within it is a slice of it, and descents stop there.  Queries
+    are deterministic and cache nothing else.
 
     The cap bounds every string built for a caller, and `check_cap` is its
     one check: a materialized block, a range the CLI prints, a period prefix
@@ -86,13 +90,18 @@ class BlockDag:
     def __init__(self, params: ConstructionParams, cap=DEFAULT_CAP, memo_limit=1 << 17):
         self.params = params
         self.cap = cap
-        self.memo_limit = max(1, min(memo_limit, cap))  # every descent ends at B_1
         self._heights = (0,) + heights(params, params.depth).heights
         self._layout = (None, None) + tuple(
             (list(accumulate((h + s for s in row[:-1]), initial=0)), row)
             for h, row in zip(self._heights[1:], params.spacers)
         )
-        self._strings = {1: "0"}
+        prefix = "0"  # B_1: every descent ends by then
+        limit = min(memo_limit, cap)
+        for h, row in zip(self._heights[2:], params.spacers):
+            if h > limit:
+                break
+            prefix = "".join(prefix + "1" * s for s in row)
+        self._prefix = prefix
 
     @property
     def max_stage(self):
@@ -128,20 +137,6 @@ class BlockDag:
 
     # -- materialization and extraction ----------------------------------
 
-    def _small_string(self, n):
-        s = self._strings.get(n)
-        if s is not None:
-            return s
-        prev = self._small_string(n - 1)
-        parts = []
-        for sp in self._layout[n][1]:
-            parts.append(prev)
-            if sp:
-                parts.append("1" * sp)
-        s = "".join(parts)
-        self._strings[n] = s
-        return s
-
     def check_cap(self, length):
         """`length`, or a refusal when a string that long exceeds the cap."""
         if length > self.cap:
@@ -174,9 +169,10 @@ class BlockDag:
 
         While the range lies inside one piece of B_n's row, one `bisect_right`
         on the start offsets descends a stage, or answers a spacer run
-        outright; only a range straddling pieces is split by `segments`."""
-        heights, layout = self._heights, self._layout
-        while heights[n] > self.memo_limit:
+        outright; only a range straddling pieces is split by `segments`.
+        A range ending within `_prefix` is a slice of it at any stage."""
+        heights, layout, prefix = self._heights, self._layout, self._prefix
+        while hi > len(prefix):
             starts, row = layout[n]
             j = bisect_right(starts, lo) - 1
             off, h = starts[j], heights[n - 1]
@@ -189,7 +185,7 @@ class BlockDag:
                     "1" * (b - a) if child is None else self._extract(n - 1, a - child, b - child)
                     for a, b, child in self.segments(n, lo, hi)
                 )
-        return self._small_string(n)[lo:hi]
+        return prefix[lo:hi]
 
     def symbol_at(self, n, i):
         """Symbol of B_n at 1-based position i, by O(depth) descent."""
@@ -219,7 +215,7 @@ class BlockDag:
         m = span - 1
         total = 0
         copies = 1
-        while self._heights[n] > max(self.memo_limit, 2 * span):
+        while self._heights[n] > max(len(self._prefix), 2 * span):
             h = self._heights[n - 1]
             row = self._layout[n][1]
             if capped:
@@ -309,13 +305,9 @@ def eventual_period(dag, prefix_length, max_period):
     Prefix heuristic for odometer detection: a periodic limit word forces the
     return time to every tower base to be constant."""
     dag.check_cap(prefix_length)
-    stage = dag.max_stage
-    for n in range(1, dag.max_stage + 1):
-        if dag.height(n) >= prefix_length:
-            stage = n
-            break
-    length = min(prefix_length, dag.height(stage))
-    prefix = dag.extract(stage, 1, length)
+    # every block is a prefix of the deepest one
+    length = min(prefix_length, dag.height(dag.max_stage))
+    prefix = dag.extract(dag.max_stage, 1, length)
     for p in range(1, min(max_period, length - 1) + 1):
         if all(prefix[i] == prefix[i + p] for i in range(length - p)):
             return p
@@ -329,17 +321,15 @@ def eventual_period(dag, prefix_length, max_period):
 
 def spacer_order(dag, n, position):
     """Stage at which the spacer at 1-based `position` of B_n was inserted."""
-    if dag.symbol_at(n, position) != 1:
-        raise InputError(f"symbol at position {position} of B_{n} is 0, not a spacer")
-    stage = n
+    dag.check_range(n, position, 1)
     off = position - 1
-    while stage >= 2:
+    for stage in range(n, 1, -1):
         _, _, child = next(dag.segments(stage, off, off + 1))
         if child is None:
             return stage
         off -= child
-        stage -= 1
-    raise InputError("reached the base block; position was not a spacer")
+    # the descent reached B_1 = "0"
+    raise InputError(f"symbol at position {position} of B_{n} is 0, not a spacer")
 
 
 def block_occurrence(dag, word):

@@ -50,6 +50,7 @@ from .sarnak import (
 )
 
 ENV_OUT = "RANKONE_OUT"
+CYLINDERS_HELP = "word pairs W1:W2, comma-separated; a bare W means W:W"
 REPORT_HEADER = ["family", "stage", "j_or_alpha", "lag", "W1", "W2", "observed", "predicted",
                  "abs_error", "ci", "method", "seed"]
 
@@ -91,10 +92,11 @@ def _parse_pairs(text):
 
 
 def _parse_word_pairs(text):
+    """Word pairs "W1:W2" comma-separated; a bare "W" means "W:W"."""
     pairs = []
     for item in text.split(","):
-        a, _, b = item.partition(":")
-        pairs.append((a, b or a))
+        a, sep, b = item.partition(":")
+        pairs.append((a, b if sep else a))
     return pairs
 
 
@@ -407,15 +409,13 @@ def _write_report(run, name, rows):
 
 
 def cmd_verify_pj(run):
-    dag = _load_dag(run)
     rows = verify_weak_limit_prediction(
-        dag.params,
+        _load_dag(run),
         run.args.n,
         run.args.j,
         _parse_word_pairs(run.args.cylinders),
         depth=run.args.depth,
         scan_stage=run.args.scan_stage,
-        dag=dag,
     )
     _write_report(run, "verify_pj.csv", rows)
     return 0
@@ -428,22 +428,20 @@ def cmd_rigid_chacon(run):
     except ValueError as exc:
         raise InputError(f"powers must be comma-separated integers: {run.args.powers!r}") from exc
     rows = verify_rigid_one_spacer(
-        dag.params,
+        dag,
         _parse_fraction(run.args.alpha),
         run.args.n,
         _parse_word_pairs(run.args.cylinders),
         powers=powers,
         scan_stage=run.args.scan_stage,
-        dag=dag,
     )
     _write_report(run, "rigid_chacon.csv", rows)
     return 0
 
 
 def cmd_katok(run):
-    dag = _load_dag(run)
     rows = verify_half_spacer_mixing(
-        dag.params,
+        _load_dag(run),
         _parse_fraction(run.args.alpha),
         run.args.n,
         run.args.ell,
@@ -451,7 +449,6 @@ def cmd_katok(run):
         sample_budget=run.args.samples,
         seed=run.args.seed,
         scan_stage=run.args.scan_stage,
-        dag=dag,
     )
     _write_report(run, "katok.csv", rows)
     return 0
@@ -506,8 +503,10 @@ def _write_averages(run, name, rows, fmt=_rat):
 
 
 def cmd_sarnak(run):
-    dag = _load_dag(run)
     args = run.args
+    if args.center and args.center_value is not None:
+        raise InputError("--center and --center-value are mutually exclusive")
+    dag = _load_dag(run)
     spec = _orbit_spec(args, args.splice_suffix, args.splice_ones)
     cylinder, center = _cylinder_and_center(run, dag, args.center)
     rows = _cylinder_averages(dag, spec, cylinder, center, args.N)
@@ -644,7 +643,7 @@ def build_parser():
     p = common(sub.add_parser("verify-pj", help="weak-limit prediction check"))
     p.add_argument("-n", type=int, required=True)
     p.add_argument("-j", type=int, default=1)
-    p.add_argument("--cylinders", default="0:0", help="pairs W1:W2 comma-separated")
+    p.add_argument("--cylinders", default="0:0", help=CYLINDERS_HELP)
     p.add_argument("--depth", type=int, default=12)
     p.add_argument("--scan-stage", type=int)
     p.set_defaults(func=cmd_verify_pj)
@@ -652,7 +651,7 @@ def build_parser():
     p = common(sub.add_parser("rigid-chacon", help="one-spacer family rigidity limit check"))
     p.add_argument("--alpha", required=True)
     p.add_argument("-n", type=int, required=True)
-    p.add_argument("--cylinders", default="0:0")
+    p.add_argument("--cylinders", default="0:0", help=CYLINDERS_HELP)
     p.add_argument("--powers", default="1")
     p.add_argument("--scan-stage", type=int)
     p.set_defaults(func=cmd_rigid_chacon)
@@ -661,7 +660,7 @@ def build_parser():
     p.add_argument("--alpha", required=True)
     p.add_argument("-n", type=int, required=True)
     p.add_argument("--ell", type=int, required=True, help="shift count (multiple of h_n + 1)")
-    p.add_argument("--cylinders", default="0:1")
+    p.add_argument("--cylinders", default="0:1", help=CYLINDERS_HELP)
     p.add_argument("--samples", type=int, default=1_000_000)
     p.add_argument("--scan-stage", type=int)
     p.set_defaults(func=cmd_katok)

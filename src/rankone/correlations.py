@@ -9,9 +9,18 @@ read each of the two words by one unchecked layout descent (no per-sample
 range check: every drawn position keeps both words inside the block), with a
 Hoeffding 95% half-width.  The verification routines
 compare measured correlations at the structured lags against the convex
-combinations predicted by the limit laws (distribution-weighted lags, the
-one-spacer family's alpha*shift + (1-alpha)*identity limit, and the
-half-spacered family's alpha*product + (1-alpha)*identity limit).
+combinations predicted by the limit laws:
+
+- `verify_weak_limit_prediction(dag, stage, j, pairs, depth, scan_stage)`:
+  distribution-weighted lags;
+- `verify_rigid_one_spacer(dag, alpha, stage, pairs, powers, scan_stage)`:
+  the one-spacer family's alpha*shift + (1-alpha)*identity limit;
+- `verify_half_spacer_mixing(dag, alpha, stage, shift_count, pairs,
+  sample_budget, seed, scan_stage)`: the half-spacered family's
+  alpha*product + (1-alpha)*identity limit.
+
+Each reads the construction from `dag.params`, so the blocks scanned and
+the laws predicted come from one construction.
 """
 
 from __future__ import annotations
@@ -21,8 +30,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .blocks import BlockDag, _check_word
-from .construction import heights
+from .blocks import _check_word
 from .errors import InputError, RangeError, Refusal
 from .odometer import cocycle_distribution
 
@@ -116,22 +124,20 @@ def _scan_stage_for(dag, lag, margin, requested=None):
     raise Refusal(f"no materializable stage fits lag {lag}")
 
 
-def verify_weak_limit_prediction(
-    params, stage, j, pairs, depth=12, scan_stage=None, dag=None
-):
-    """Correlation at lag j*h_{stage+1} against its distribution-weighted prediction.
+def verify_weak_limit_prediction(dag, stage, j, pairs, depth=12, scan_stage=None):
+    """Correlation at lag j*h_{stage+1} in the blocks of `dag` against its
+    distribution-weighted prediction.
 
     The predicted value is sum_v P(v) * corr(w2, w1, v) with P the exact law
     of the j-fold centered cocycle sum at `stage` (the small-lag side runs
     through the inverse, so the words swap roles); the declared tail mass (at
     most j * 2^-depth) is the only unweighted remainder."""
-    dag = dag or BlockDag(params)
-    dist = cocycle_distribution(params, stage, j, depth)
+    dist = cocycle_distribution(dag.params, stage, j, depth)
     lag = j * dag.height(stage + 1)
     scan = _scan_stage_for(dag, lag, _word_margin(pairs, max(dist.support())), scan_stage)
     return [
         LimitCheckRow(
-            params.family,
+            dag.params.family,
             scan,
             f"j={j}",
             lag,
@@ -148,22 +154,23 @@ def verify_weak_limit_prediction(
     ]
 
 
-def verify_rigid_one_spacer(params, alpha, stage, pairs, powers=(1,), scan_stage=None, dag=None):
-    """One-spacer family: corr(lag j*floor(alpha*p_n)*h_n) vs
-    j*alpha*corr(1) + (1 - j*alpha)*corr(0), for each requested power."""
+def verify_rigid_one_spacer(dag, alpha, stage, pairs, powers=(1,), scan_stage=None):
+    """One-spacer family in the blocks of `dag`: corr(lag j*floor(alpha*p_n)*h_n)
+    vs j*alpha*corr(1) + (1 - j*alpha)*corr(0), for each requested power.
+
+    Any family qualifies whose rows each hold one spacer and whose cuts grow."""
+    params = dag.params
     alpha = Fraction(alpha)
     if not 0 < alpha < 1:
         raise InputError("alpha must lie strictly between 0 and 1")
-    if params.family != "generalized_chacon":
-        for row in params.spacers:
-            if sorted(row) != [0] * (len(row) - 1) + [1]:
-                raise InputError("needs the one-spacer-per-stage family")
-        if not all(a < b for a, b in zip(params.cuts, params.cuts[1:])):
-            raise InputError("the rigidity limit needs cuts growing to infinity")
+    for row in params.spacers:
+        if sorted(row) != [0] * (len(row) - 1) + [1]:
+            raise InputError("needs the one-spacer-per-stage family")
+    if not all(a < b for a, b in zip(params.cuts, params.cuts[1:])):
+        raise InputError("the rigidity limit needs cuts growing to infinity")
     bad = [j for j in powers if not 0 < j * alpha < 1]
     if bad:
         raise Refusal(f"powers {bad} put j*alpha outside (0, 1)")
-    dag = dag or BlockDag(params)
     shift = int(alpha * params.cut(stage))  # floor: alpha rational
     base_lag = shift * dag.height(stage)
     scan = _scan_stage_for(dag, max(powers) * base_lag, _word_margin(pairs, 2), scan_stage)
@@ -186,11 +193,11 @@ def verify_rigid_one_spacer(params, alpha, stage, pairs, powers=(1,), scan_stage
     ]
 
 
-def _shift_window(params, alpha, stage):
+def _shift_window(dag, alpha, stage):
     """h_n, the target alpha*p_n/2, the slack round(p_n^{3/4}) and the five
     multiples of h_n + 1 nearest the target."""
-    h = heights(params, stage).h(stage)
-    p = params.cut(stage)
+    p = dag.params.cut(stage)
+    h = dag.height(stage)
     target = alpha * p / 2
     slack = int(round(p ** 0.75))
     modulus = h + 1
@@ -201,25 +208,11 @@ def _shift_window(params, alpha, stage):
     return h, target, slack, cands
 
 
-def half_spacer_shift_candidates(params, alpha, stage):
-    """Admissible shift counts: multiples of h_n + 1 within slack of alpha*p_n/2."""
-    _, target, slack, cands = _shift_window(params, Fraction(alpha), stage)
-    return [c for c in cands if abs(c - target) <= slack], cands, slack
-
-
 def verify_half_spacer_mixing(
-    params,
-    alpha,
-    stage,
-    shift_count,
-    pairs,
-    sample_budget=1_000_000,
-    seed=0,
-    scan_stage=None,
-    dag=None,
+    dag, alpha, stage, shift_count, pairs, sample_budget=1_000_000, seed=0, scan_stage=None
 ):
-    """Half-spacered family: sampled corr(lag shift*h_n) vs
-    alpha*freq(A)*freq(B) + (1-alpha)*corr(0).
+    """Half-spacered family in the blocks of `dag`: sampled corr(lag shift*h_n)
+    vs alpha*freq(A)*freq(B) + (1-alpha)*corr(0).
 
     The shift count must be a positive multiple of h_n + 1 and sit within the slack
     window p_n^{3/4} of alpha*p_n/2; otherwise the nearest valid
@@ -227,8 +220,8 @@ def verify_half_spacer_mixing(
     alpha = Fraction(alpha)
     if not 0 < alpha < 1:
         raise InputError("alpha must lie strictly between 0 and 1")
-    dag = dag or BlockDag(params)
-    h, target, slack, cands = _shift_window(params, alpha, stage)
+    params = dag.params
+    h, target, slack, cands = _shift_window(dag, alpha, stage)
     if shift_count < 1 or shift_count % (h + 1) != 0 or abs(shift_count - target) > slack:
         raise Refusal(
             f"shift {shift_count} must be a positive multiple of h_{stage}+1 = {h + 1} within "

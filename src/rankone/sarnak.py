@@ -106,7 +106,8 @@ class OrbitSpec:
 
     A plain spec reads from B_stage at 1-based `offset`.  A spliced spec
     realizes points near the all-spacers fixed point: the last `splice_suffix`
-    symbols of B_stage, then `splice_ones` spacers, then a prefix of B_stage.
+    symbols of B_stage, then `splice_ones` spacers, then a prefix of B_stage;
+    it has no offset, so one other than 1 is refused.
     Spliced words need not belong to the language and are flagged as such.
     A suspension orbit's base starts here; the accumulators count its floors."""
 
@@ -120,6 +121,8 @@ class OrbitSpec:
             raise InputError("stage and offset must be >= 1")
         if self.splice_suffix < 0 or self.splice_ones < 0:
             raise InputError("splice lengths must be >= 0")
+        if self.spliced and self.offset != 1:
+            raise InputError("a spliced orbit takes no offset")
 
     @property
     def spliced(self):

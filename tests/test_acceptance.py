@@ -414,7 +414,7 @@ def test_criterion_07_classification():
 
 def test_criterion_08_weak_limit_correlations():
     pairs = [("0", "0"), ("0", "1"), ("00", "00"), ("010", "010"), ("001", "100")]
-    rows = verify_weak_limit_prediction(chacon(30), 13, 1, pairs, depth=12)
+    rows = verify_weak_limit_prediction(BlockDag(chacon(30)), 13, 1, pairs, depth=12)
     worst = max(row.abs_error for row in rows)
     ok = worst <= 0.02
     zero_row = next(r for r in rows if (r.w1, r.w2) == ("0", "0"))
@@ -432,7 +432,7 @@ def test_criterion_08_weak_limit_correlations():
 def test_criterion_09_rigid_one_spacer_family():
     pairs = [("0", "0"), ("0", "1"), ("00", "00"), ("01", "01"), ("10", "10")]
     rows = verify_rigid_one_spacer(
-        generalized_chacon(8), Fraction(1, 2), 6, pairs, powers=(1,)
+        BlockDag(generalized_chacon(8)), Fraction(1, 2), 6, pairs, powers=(1,)
     )
     worst = max(row.abs_error for row in rows)
     report(
@@ -447,7 +447,7 @@ def test_criterion_09_rigid_one_spacer_family():
 
 def test_criterion_10_half_spacer_mixing():
     rows = verify_half_spacer_mixing(
-        katok(cuts=(100, 30000)),
+        BlockDag(katok(cuts=(100, 30000))),
         Fraction(1, 2),
         1,
         26,

@@ -80,8 +80,8 @@ def _block(params, n):
 @settings(max_examples=150, deadline=None)
 def test_extract_matches_block_slices(seed, memo_limit, data):
     # spacer runs up to 20 symbols long hold ranges of their own, and a tiny
-    # memo_limit makes every read descend the layout to a block of at most
-    # 1, 2 or 8 symbols
+    # memo_limit keeps the prefix string to the deepest block of at most
+    # 1, 2 or 8 symbols, so every read ending beyond it descends the layout
     params = random_bounded_params(random.Random(seed), depth=6, max_spacer=20)
     seq = heights(params, params.depth)
     top = max(k for k in range(2, params.depth + 2) if seq.h(k) <= 20_000)
@@ -192,8 +192,9 @@ def test_count_recursion_equals_naive_scan(seed, w1, w2, memo_limit, data):
         text[i : i + len(w1)] == w1 and text[i + lag : i + lag + len(w2)] == w2
         for i in range(len(text) - span + 1)
     )
-    # memo_limit forced tiny so counting exercises the recursion, with child
-    # copies both shorter and longer than twice the span
+    # memo_limit forced tiny, so the prefix string is short and counting
+    # descends the layout, with child copies both shorter and longer than
+    # twice the span
     dag = BlockDag(params, memo_limit=memo_limit)
     assert dag._count(w1, w2, lag, stage) == expected
     if not w2:

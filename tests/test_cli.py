@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import rankone
+from rankone.blocks import BlockDag
 from rankone.cli import REPORT_HEADER, main, replay_manifest, run_argv
 from rankone.construction import load_construction
 from rankone.correlations import verify_rigid_one_spacer, verify_weak_limit_prediction
@@ -192,11 +193,12 @@ def test_cocycle_enumerate_beyond_cap(tmp_path, capsys):
         (["verify-pj", "--config", "chacon:depth=20", "-n", "6", "--cylinders", "0:0,0:1"],
          "verify_pj.csv",
          lambda: verify_weak_limit_prediction(
-             load_construction("chacon:depth=20"), 6, 1, [("0", "0"), ("0", "1")])),
+             BlockDag(load_construction("chacon:depth=20")), 6, 1, [("0", "0"), ("0", "1")])),
         (["rigid-chacon", "--config", "generalized_chacon:depth=6", "--alpha", "1/2", "-n", "3"],
          "rigid_chacon.csv",
          lambda: verify_rigid_one_spacer(
-             load_construction("generalized_chacon:depth=6"), Fraction(1, 2), 3, [("0", "0")])),
+             BlockDag(load_construction("generalized_chacon:depth=6")), Fraction(1, 2), 3,
+             [("0", "0")])),
     ],
     ids=["verify-pj", "rigid-chacon"],
 )
@@ -407,6 +409,9 @@ MALFORMED_MESSAGES = {
     "sarnak-N-0": "--N must be >= 1",
     "suspend-N-0": "--N must be >= 1",
     "primepair-N-negative": "--N must be >= 1",
+    "cylinders-empty-second": "words must be non-empty",
+    "sarnak-splice-offset": "a spliced orbit takes no offset",
+    "sarnak-center-and-value": "--center and --center-value are mutually exclusive",
 }
 
 
@@ -459,6 +464,11 @@ MALFORMED_MESSAGES = {
          "--N", "0", "--stage", "10"],
         ["primepair", "--config", "chacon:depth=20", "--observable", "cyl:0", "--N", "-3",
          "-p", "2", "-q", "3"],
+        ["verify-pj", "--config", "chacon:depth=30", "-n", "3", "--cylinders", "0:"],
+        ["sarnak", "--config", "chacon:depth=12", "--observable", "cyl:0", "--N", "40",
+         "--stage", "6", "--splice-suffix", "3", "--splice-ones", "2", "--offset", "50"],
+        ["sarnak", "--config", "chacon:depth=12", "--observable", "cyl:0", "--N", "40",
+         "--stage", "6", "--center", "--center-value", "2/3"],
     ],
     ids=["missing-config", "bad-family-arg", "bad-pairs", "list-config", "start-0",
          "start-0-small-cap", "bad-powers",
@@ -471,7 +481,8 @@ MALFORMED_MESSAGES = {
          "freq-words-none", "freq-word-longer-than-block", "freq-words-and-maxlen",
          "certify-pairs-one-power",
          "certify-pairs-reversed", "heights-n-0", "cocycle-n-negative",
-         "correlate-exact-samples", "sarnak-N-0", "suspend-N-0", "primepair-N-negative"],
+         "correlate-exact-samples", "sarnak-N-0", "suspend-N-0", "primepair-N-negative",
+         "cylinders-empty-second", "sarnak-splice-offset", "sarnak-center-and-value"],
 )
 def test_malformed_input_exits_2(tmp_path, capsys, request, argv):
     for name, doc in MALFORMED_DOCS.items():

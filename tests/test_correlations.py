@@ -7,7 +7,6 @@ from rankone.blocks import BlockDag
 from rankone.construction import chacon, generalized_chacon, katok, von_neumann_kakutani
 from rankone.correlations import (
     correlation,
-    half_spacer_shift_candidates,
     verify_half_spacer_mixing,
     verify_rigid_one_spacer,
     verify_weak_limit_prediction,
@@ -111,30 +110,34 @@ def test_sampled_needs_budget():
 def test_weak_limit_prediction_zero_spacer():
     # full rigidity: the lag-h correlation equals the lag-0 correlation
     vnk = von_neumann_kakutani(16)
-    rows = verify_weak_limit_prediction(vnk, 6, 1, [("0", "0")], depth=8)
+    rows = verify_weak_limit_prediction(BlockDag(vnk), 6, 1, [("0", "0")], depth=8)
     (row,) = rows
     assert row.observed == 1 and row.abs_error < 0.01
 
 
 def test_weak_limit_prediction_chacon_small():
-    rows = verify_weak_limit_prediction(chacon(26), 9, 1, [("0", "0")], depth=12)
+    rows = verify_weak_limit_prediction(BlockDag(chacon(26)), 9, 1, [("0", "0")], depth=12)
     (row,) = rows
     assert abs(row.predicted - Fraction(1, 2)) < Fraction(1, 50)
     assert row.abs_error <= 0.02
 
 
 def test_rigid_refusals():
-    gc = generalized_chacon(8)
+    gc = BlockDag(generalized_chacon(8))
     with pytest.raises(Refusal):
         verify_rigid_one_spacer(gc, Fraction(1, 2), 5, [("0", "0")], powers=(2,))
     with pytest.raises(InputError):
         verify_rigid_one_spacer(gc, Fraction(3, 2), 5, [("0", "0")])
     with pytest.raises(InputError):
-        verify_rigid_one_spacer(chacon(8), Fraction(1, 2), 5, [("0", "0")])
+        verify_rigid_one_spacer(BlockDag(chacon(8)), Fraction(1, 2), 5, [("0", "0")])
+    # the family name exempts no construction from the growing-cuts hypothesis
+    flat = BlockDag(generalized_chacon(8, cuts=(12,) * 8))
+    with pytest.raises(InputError, match="cuts growing to infinity"):
+        verify_rigid_one_spacer(flat, Fraction(1, 2), 5, [("0", "0")])
 
 
 def test_rigid_lag_structure():
-    gc = generalized_chacon(8)
+    gc = BlockDag(generalized_chacon(8))
     rows = verify_rigid_one_spacer(gc, Fraction(1, 2), 5, [("0", "0")], powers=(1,))
     (row,) = rows
     # floor(alpha * p_5) * h_5 with p_5 = 12, h_5 = 2491
@@ -142,27 +145,32 @@ def test_rigid_lag_structure():
     assert row.abs_error <= 0.05
 
 
-def test_half_spacer_candidates_and_refusal():
-    kat = katok(cuts=(100, 30000))
-    valid, cands, slack = half_spacer_shift_candidates(kat, Fraction(1, 2), 1)
-    assert 26 in valid and all(c % 2 == 0 for c in cands)
-    with pytest.raises(Refusal) as err:
-        verify_half_spacer_mixing(kat, Fraction(1, 2), 1, 25, [("0", "1")], sample_budget=10)
-    assert "26" in str(err.value)
-    # a zero shift is a multiple of h_1 + 1 within the slack but no mixing lag
-    with pytest.raises(Refusal) as err:
-        verify_half_spacer_mixing(kat, Fraction(1, 2), 1, 0, [("0", "1")], sample_budget=10)
-    assert str(cands) in str(err.value)
+def test_half_spacer_refusal_names_candidates():
+    # h_1 = 1 and p_1 = 100: the five multiples of 2 nearest alpha*p_1/2 = 25,
+    # slack round(100^0.75) = 32; 25 is no multiple of 2, and 0 is one within
+    # the slack but no mixing lag
+    dag = BlockDag(katok(cuts=(100, 30000)))
+    for shift in (25, 0):
+        with pytest.raises(Refusal) as err:
+            verify_half_spacer_mixing(dag, Fraction(1, 2), 1, shift, [("0", "1")],
+                                      sample_budget=10)
+        assert str(err.value) == (
+            f"shift {shift} must be a positive multiple of h_1+1 = 2 within 32 of 25.0; "
+            "nearest candidates: [22, 24, 26, 28, 30]"
+        )
+    # the candidates are the nearest five, not every admissible shift
+    (row,) = verify_half_spacer_mixing(dag, Fraction(1, 2), 1, 56, [("0", "1")],
+                                       sample_budget=10)
+    assert row.lag == 56
 
 
 def test_half_spacer_small_run():
-    kat = katok(cuts=(100, 30000))
+    dag = BlockDag(katok(cuts=(100, 30000)))
     rows = verify_half_spacer_mixing(
-        kat, Fraction(1, 2), 1, 26, [("0", "1")], sample_budget=20_000, seed=3
+        dag, Fraction(1, 2), 1, 26, [("0", "1")], sample_budget=20_000, seed=3
     )
     (row,) = rows
     assert row.method == "SAMPLED" and row.seed == 3
-    dag = BlockDag(kat)
     f0 = dag.frequency("0", 3).frequency
     f1 = dag.frequency("1", 3).frequency
     assert row.predicted == Fraction(1, 2) * f0 * f1  # disjoint pair: no identity part

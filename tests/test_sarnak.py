@@ -309,6 +309,14 @@ def test_orbit_word_range_errors():
         orbit_word(dag, OrbitSpec(stage=3, offset=10), 10)
 
 
+@pytest.mark.parametrize("suffix, ones", [(3, 2), (0, 5), (4, 0)])
+def test_spliced_spec_refuses_offset(suffix, ones):
+    # a spliced orbit starts at the splice, so an offset would go unread
+    with pytest.raises(InputError, match="takes no offset"):
+        OrbitSpec(stage=6, offset=50, splice_suffix=suffix, splice_ones=ones)
+    assert OrbitSpec(stage=6, offset=1, splice_suffix=suffix, splice_ones=ones).spliced
+
+
 def test_spliced_window_abc_consistency():
     # the window around the splice decomposes with the spacer run as its middle
     dag = BlockDag(chacon(12))
