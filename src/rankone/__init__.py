@@ -62,11 +62,11 @@ from .correlations import (
 )
 from .sarnak import (
     OrbitSpec,
+    OrbitWord,
     cylinder_sarnak_averages,
     eigen_suspension_averages,
     mertens,
     mobius_sieve,
     orbit_word,
-    partial_averages,
     prime_power_averages,
 )

@@ -40,12 +40,10 @@ from .limits import (
 from .odometer import cocycle_distribution
 from .sarnak import (
     OrbitSpec,
-    _check_window,
+    OrbitWord,
     _orbit_reach,
     cylinder_sarnak_averages,
     eigen_suspension_averages,
-    mobius_sieve,
-    orbit_word,
     prime_power_averages,
 )
 
@@ -490,12 +488,9 @@ def _cylinder_and_center(run, dag, by_frequency):
 
 def _cylinder_averages(dag, spec, cylinder, center, horizon, floors=1, start_floor=0):
     """Mobius averages of a centered cylinder along the orbit of `spec`, on
-    `floors` floors from `start_floor`."""
-    reach = _orbit_reach(floors, start_floor, horizon)
-    word = orbit_word(dag, spec, reach + len(cylinder) - 1)
-    return cylinder_sarnak_averages(
-        word, cylinder, center, mobius_sieve(horizon), horizon, floors, start_floor
-    )
+    `floors` floors from `start_floor`, read and sieved segment by segment."""
+    word = OrbitWord(dag, spec, _orbit_reach(floors, start_floor, horizon) + len(cylinder) - 1)
+    return cylinder_sarnak_averages(word, cylinder, center, None, horizon, floors, start_floor)
 
 
 def _write_averages(run, name, rows, fmt=_rat):
@@ -520,7 +515,7 @@ def cmd_primepair(run):
     p, q, horizon = run.args.p, run.args.q, run.args.N
     spec = _orbit_spec(run.args)
     cylinder, center = _cylinder_and_center(run, dag, True)
-    word = orbit_word(dag, spec, max(p, q) * horizon + len(cylinder))
+    word = OrbitWord(dag, spec, max(p, q) * horizon + len(cylinder))
     rows = prime_power_averages(word, cylinder, center, p, q, horizon)
     _write_averages(run, "primepair.csv", rows)
     print(f"final average at N={rows[-1][0]}: {float(rows[-1][1]):.3e}")
@@ -533,9 +528,10 @@ def cmd_suspend(run):
     K, start_floor, horizon = run.args.K, run.args.start_floor, run.args.N
     spec = _orbit_spec(run.args)
     if kind == "eigen":
-        # the eigenfunction reads only the floor, but the orbit must stay in B_stage
-        _check_window(dag, spec, _orbit_reach(K, start_floor, horizon))
-        rows = eigen_suspension_averages(K, payload, mobius_sieve(horizon), horizon, start_floor)
+        # the eigenfunction reads only the floor, but the orbit must stay in
+        # B_stage: building the lazy word checks its window and reads nothing
+        OrbitWord(dag, spec, _orbit_reach(K, start_floor, horizon))
+        rows = eigen_suspension_averages(K, payload, None, horizon, start_floor)
         _write_averages(run, "suspend.csv", rows, lambda z: f"{z.real:.17g}{z.imag:+.17g}i")
     else:
         # the floors are measure-uniform: the block frequency centers every floor

@@ -214,13 +214,18 @@ def verify_half_spacer_mixing(
     """Half-spacered family in the blocks of `dag`: sampled corr(lag shift*h_n)
     vs alpha*freq(A)*freq(B) + (1-alpha)*corr(0).
 
-    The shift count must be a positive multiple of h_n + 1 and sit within the slack
-    window p_n^{3/4} of alpha*p_n/2; otherwise the nearest valid
-    candidates are reported in a refusal."""
+    Any family qualifies whose rows each put spacers on the second half of an
+    even cut.  The shift count must be a positive multiple of h_n + 1 and sit
+    within the slack window p_n^{3/4} of alpha*p_n/2; otherwise the nearest
+    valid candidates are reported in a refusal."""
     alpha = Fraction(alpha)
     if not 0 < alpha < 1:
         raise InputError("alpha must lie strictly between 0 and 1")
     params = dag.params
+    for row in params.spacers:
+        half = len(row) // 2
+        if len(row) % 2 or tuple(row) != (0,) * half + (1,) * half:
+            raise InputError("needs the half-spacered family: spacers 0^(p/2) 1^(p/2) per stage")
     h, target, slack, cands = _shift_window(dag, alpha, stage)
     if shift_count < 1 or shift_count % (h + 1) != 0 or abs(shift_count - target) > slack:
         raise Refusal(

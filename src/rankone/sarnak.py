@@ -1,20 +1,19 @@
 """Mobius orthogonality experiments along symbolic orbits.
 
-A slice sieve produces the Mobius values as signed bytes: the primes come
-from zeroing their multiples in a bytearray, the squarefree flags from
-zeroing the p^2 strides, and the sign flips once per prime factor: one
-stride per small prime, and one stride per multiplier m for all the large
-primes at once, since each has fewer than 16 multiples in range.  Orbit
-words come from random access into the block layout, so horizons far beyond
-the materialization cap are feasible.  Partial averages are accumulated
-exactly (rationals for rational-valued observables) and emitted on a
-geometric grid of horizons.  The cylinder and prime-pair accumulators turn
-the orbit word into one byte string of hit flags and count each grid segment
-with `bytes.count`, so their sums are integer counts combined with the
-center at grid points only.  Decay is reported, never "verified": the
-vanishing of these averages is an asymptotic statement, so acceptance rests
-on recorded regression baselines and trend diagnostics, not on the
-conjecture.
+Every accumulator walks its horizon in segments of SEGMENT steps and carries
+its running integer counts (the eigen sum: its complex accumulator, in step
+order) from one segment to the next, so no buffer as long as the horizon is
+held.  A segment's Mobius values come from a segmented slice sieve (see
+`mobius_sieve`) as signed bytes, and its orbit symbols from one layout descent
+of an `OrbitWord`, so horizons far beyond the materialization cap are
+feasible.  The cylinder and prime-pair accumulators turn a segment's stretch
+of the orbit word into a byte string of hit flags and count each grid piece
+with `bytes.count`, so their sums are integer counts combined with the center
+at grid points only.  Partial averages are exact (rationals for
+rational-valued observables) and emitted on a geometric grid of horizons.
+Decay is reported, never "verified": the vanishing of these averages is an
+asymptotic statement, so acceptance rests on recorded regression baselines
+and trend diagnostics, not on the conjecture.
 
 The K-floor suspension pairs step n with floor (start_floor + n) % K and
 base position (start_floor + n) // K, modelling a finite cyclic group of
@@ -32,7 +31,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import compress, cycle
 from math import isqrt
-from operator import add, getitem, mul
+from operator import add, getitem
 
 from .blocks import BlockDag, _check_word
 from .errors import InputError, RangeError
@@ -41,13 +40,18 @@ __all__ = [
     "mobius_sieve",
     "mertens",
     "OrbitSpec",
+    "OrbitWord",
     "orbit_word",
     "geometric_grid",
-    "partial_averages",
     "cylinder_sarnak_averages",
     "prime_power_averages",
     "eigen_suspension_averages",
 ]
+
+# steps per accumulator segment, and numbers per sieve segment past the head
+SEGMENT = 1 << 16
+# the sieve's head [1, SIEVE_HEAD) is sieved whole
+SIEVE_HEAD = 1 << 16
 
 # byte tables: a Mobius value is stored as its low byte, so -1 is 0xff
 _PRIME_TO_MU = bytes.maketrans(b"\x00\x01", b"\x01\xff")
@@ -59,14 +63,36 @@ _MATCH = {s: bytes(255 * (i == ord(s)) for i in range(256)) for s in "01"}
 
 
 def mobius_sieve(limit):
-    """mu(0..limit) as an array('b'), with mu(0) = 0, by slice sieving.
+    """mu(0..limit) as an array('b'), with mu(0) = 0: the join of the
+    segments of `_mobius_segments`, the one sieve behind every accumulator.
 
-    Each n >= 1 starts at -1 if prime, else +1.  A prime p <= limit // _SPLIT
-    negates its stride 2p, 3p, ...; for each m < _SPLIT, one XOR with 0xfe
-    flips m * p for all the larger primes p at once.  The p^2 strides are
-    zeroed last, so every flip meets a +-1."""
-    if limit < 1:
-        raise InputError("need limit >= 1")
+    The head [1, max(SIEVE_HEAD, s + 1)), s = isqrt(limit), is sieved whole:
+    each n starts at -1 if prime, else +1; a prime p <= head // _SPLIT negates
+    its stride 2p, 3p, ...; for each m < _SPLIT, one XOR with 0xfe flips m * p
+    for all the larger primes p at once.
+
+    A later segment [L, R) starts at +1, and each base prime p <= s negates
+    its multiples and adds w_p = floor(4 log2 p) to their byte sums S.  A
+    squarefree n in [L, R) is P * m, where P is the product of its base
+    primes and m is 1 or one prime above s (two would exceed the limit).
+    Since w_p > 4 log2 p - 1, and P has at most omega_max prime factors (the
+    most any n <= limit has), 4 log2 P - omega_max < S <= 4 log2 P.  If
+    m = 1, then P = n >= L, so S > c := floor(4 log2 L) - omega_max.  If
+    m > s, then P < R / (s + 1), so S < c whenever R^4 <= (s + 1)^4 * 2^c.
+    That inequality is checked in exact integers, with R < 2^64 keeping S
+    below 256; then S < c flips exactly the n with a prime factor above s.
+    A segment that fails the check divides its base primes out of each n
+    as a Python int instead, and flips where a cofactor above 1 is left.
+    In every segment the p^2 strides are zeroed last, so every flip meets
+    a +-1."""
+    mu = array("b", b"\0")
+    for segment in _mobius_segments(limit):
+        mu.frombytes(segment)
+    return mu
+
+
+def _sieve_head(limit):
+    """(mu(0..limit) as bytes, the prime flags of 0..limit), sieved whole."""
     prime = bytearray([1]) * (limit + 1)
     prime[:2] = b"\0\0"
     for p in range(2, isqrt(limit) + 1):
@@ -83,7 +109,65 @@ def mobius_sieve(limit):
         mu[stride] = _xor(mu[stride], prime[split + 1 : top + 1].translate(_PRIME_TO_FLIP))
     for p in compress(range(isqrt(limit) + 1), prime):
         mu[p * p :: p * p] = bytes(len(range(p * p, limit + 1, p * p)))
-    return array("b", mu)
+    return mu, prime
+
+
+def _mobius_segments(limit):
+    """mu(1..limit) as bytes (-1 is 0xff), SEGMENT numbers at a time."""
+    if limit < 1:
+        raise InputError("need limit >= 1")
+    root = isqrt(limit)
+    top = min(limit, max(SIEVE_HEAD - 1, root))
+    head, prime = _sieve_head(top)
+    omega, product = 0, 1  # omega_max: the longest primorial 2*3*5*... <= limit
+    for p in compress(range(top + 1), prime):
+        product *= p
+        if product > limit:
+            break
+        omega += 1
+    base = []  # each base prime p <= root with its table adding w_p to a byte
+    for p in compress(range(root + 1), prime):
+        w = (p**4).bit_length() - 1
+        base.append((p, bytes(range(w, 256)) + bytes(range(w))))
+    for lo in range(1, limit + 1, SEGMENT):
+        hi = min(lo + SEGMENT, limit + 1)
+        if hi <= top + 1:
+            yield head[lo:hi]
+        else:
+            yield head[lo : top + 1] + _sieve_segment(max(lo, top + 1), hi, base, root, omega)
+
+
+def _sieve_segment(lo, hi, base, root, omega):
+    """mu(lo..hi-1) as bytes for root < lo < hi, from the base primes p <= root."""
+    size = hi - lo
+    mu = bytearray(b"\x01") * size
+    sums = bytearray(size)
+    for p, add_weight in base:
+        first = -lo % p
+        mu[first::p] = mu[first::p].translate(_NEGATE)
+        sums[first::p] = sums[first::p].translate(add_weight)
+    c = (lo**4).bit_length() - 1 - omega
+    if 0 < c and hi.bit_length() <= 64 and hi**4 <= (root + 1) ** 4 << c:
+        flips = sums.translate(b"\xfe" * c + bytes(256 - c))
+    else:
+        flips = _cofactor_flips(lo, hi, base)
+    mu = bytearray(_xor(mu, flips))
+    for p, _ in base:
+        if p * p >= hi:
+            break
+        first = -lo % (p * p)
+        mu[first :: p * p] = bytes(len(range(first, size, p * p)))
+    return mu
+
+
+def _cofactor_flips(lo, hi, base):
+    """0xfe where n in [lo, hi) keeps a cofactor above 1 once each base prime
+    dividing it is divided out once, else 0: the exact path of a segment."""
+    rest = list(range(lo, hi))
+    for p, _ in base:
+        first = -lo % p
+        rest[first::p] = [n // p for n in rest[first::p]]
+    return bytes(0xFE * (n > 1) for n in rest)
 
 
 def mertens(mu, limit=None):
@@ -129,34 +213,53 @@ class OrbitSpec:
         return self.splice_suffix > 0 or self.splice_ones > 0
 
 
+class OrbitWord:
+    """The first `length` symbols of the orbit's itinerary word, read on
+    demand: `len` and slices [lo:hi] give what they give on the str
+    `orbit_word` returns, each piece of a slice by one `BlockDag._extract`
+    descent.  The window is checked once, here."""
+
+    def __init__(self, dag: BlockDag, spec: OrbitSpec, length):
+        if length < 1:
+            raise InputError("need length >= 1")
+        self.dag, self.stage, self.length = dag, spec.stage, length
+        # pieces (start, end, shift): word position i in [start, end) reads
+        # 0-based position i + shift of B_stage, or a spacer if shift is None
+        if not spec.spliced:
+            end = spec.offset + length - 1
+            if end > dag.height(spec.stage):
+                raise RangeError(f"window [{spec.offset}, {end}] leaves B_{spec.stage}")
+            self.pieces = ((0, length, spec.offset - 1),)
+            return
+        h = dag.height(spec.stage)
+        if spec.splice_suffix > h:
+            raise RangeError("splice suffix longer than the block")
+        take = min(spec.splice_suffix, length)
+        ones = take + min(spec.splice_ones, length - take)
+        if length - ones > h:
+            raise RangeError("splice prefix longer than the block")
+        # the block's last symbols, then spacers, then its first symbols
+        self.pieces = ((0, take, h - spec.splice_suffix), (take, ones, None),
+                       (ones, length, -ones))
+
+    def __len__(self):
+        return self.length
+
+    def __getitem__(self, key):
+        lo, hi, step = key.indices(self.length)
+        if step != 1:
+            raise InputError("an orbit word is read in contiguous slices only")
+        return "".join(
+            "1" * (b - a) if shift is None else self.dag._extract(self.stage, a + shift, b + shift)
+            for start, end, shift in self.pieces
+            for a, b in [(max(start, lo), min(end, hi))]
+            if a < b
+        )
+
+
 def orbit_word(dag: BlockDag, spec: OrbitSpec, length):
     """The first `length` symbols of the orbit's itinerary word."""
-    if length < 1:
-        raise InputError("need length >= 1")
-    if not spec.spliced:
-        _check_window(dag, spec, length)
-        return dag.extract(spec.stage, spec.offset, length)
-    h = dag.height(spec.stage)
-    if spec.splice_suffix > h:
-        raise RangeError("splice suffix longer than the block")
-    parts = []
-    take = min(spec.splice_suffix, length)
-    parts.append(dag.extract(spec.stage, h - spec.splice_suffix + 1, take))
-    remaining = length - take
-    ones = min(spec.splice_ones, remaining)
-    parts.append("1" * ones)
-    remaining -= ones
-    if remaining > h:
-        raise RangeError("splice prefix longer than the block")
-    parts.append(dag.extract(spec.stage, 1, remaining))
-    return "".join(parts)
-
-
-def _check_window(dag, spec, length):
-    """Raise unless the plain orbit's first `length` symbols lie in B_stage."""
-    end = spec.offset + length - 1
-    if end > dag.height(spec.stage):
-        raise RangeError(f"window [{spec.offset}, {end}] leaves B_{spec.stage}")
+    return OrbitWord(dag, spec, length)[:]
 
 
 def _orbit_reach(floors, start_floor, horizon):
@@ -174,25 +277,41 @@ def geometric_grid(horizon):
     return sorted({-(-horizon >> k) for k in range(horizon.bit_length() + 1)})
 
 
-def _grid_steps(horizon):
-    """(N', steps since the previous grid point) for each N' of the geometric grid."""
+def _steps(horizon, size):
+    """Steps 1..horizon in segments [lo, hi) of `size` steps: (lo, hi, pieces)
+    for each, where pieces (a, b, point) cut the offsets [0, hi - lo) at the
+    geometric grid, `point` being the grid point that ends a piece, or None."""
     grid = geometric_grid(horizon)
-    return [(point, range(prev + 1, point + 1)) for prev, point in zip([0] + grid, grid)]
+    for lo in range(1, horizon + 1, size):
+        hi = min(lo + size, horizon + 1)
+        pieces, a = [], 0
+        for point in grid:
+            if lo <= point < hi:
+                pieces.append((a, point + 1 - lo, point))
+                a = point + 1 - lo
+        if a < hi - lo:
+            pieces.append((a, hi - lo, None))
+        yield lo, hi, pieces
 
 
-def _check_weights(weights, horizon):
-    if len(weights) <= horizon:
+def _sign_segments(mu, horizon):
+    """mu(1..horizon) as bytes (-1 is 0xff), SEGMENT steps at a time: sieved
+    when `mu` is None, else read off `mu`, whose values at steps 1..horizon
+    must be ints -1, 0 or 1."""
+    if mu is None:
+        return _mobius_segments(horizon)
+    if len(mu) <= horizon:
         raise InputError(f"need weights at steps 1..{horizon}")
+    return (_signs(mu[lo : min(lo + SEGMENT, horizon + 1)])
+            for lo in range(1, horizon + 1, SEGMENT))
 
 
-def _signs(mu, horizon):
-    """mu[1..horizon] as bytes, byte n - 1 holding step n's Mobius value as its
-    low byte (-1 is 0xff); anything but an int -1, 0 or 1 is refused."""
-    _check_weights(mu, horizon)
+def _signs(values):
+    """Mobius values as bytes, -1 as 0xff; anything but an int -1, 0 or 1 is refused."""
     weights = array("b")
     try:
         # extend, unlike the constructor, reads bytes as 0..255, not as signed bytes
-        weights.extend(mu[1 : horizon + 1])
+        weights.extend(values)
     except (OverflowError, TypeError) as exc:
         raise InputError("Mobius weights must be ints -1, 0 or 1") from exc
     signs = weights.tobytes()
@@ -204,26 +323,6 @@ def _signs(mu, horizon):
 def _average(acc, point):
     """acc / point, exact unless the sum went complex."""
     return Fraction(acc, point) if isinstance(acc, (int, Fraction)) else acc / point
-
-
-def partial_averages(values, weights, horizon):
-    """Exact partial averages (1/N') * sum_{n<=N'} values[n] * weights[n].
-
-    `values` is indexed from 1 (callable or sequence with [n]); accumulation
-    is exact for int/Fraction values and complex otherwise.  Steps with a zero
-    weight are skipped and the others add `acc = acc + values[n] * weights[n]`
-    in step order, so float sums round the same way on every path.  This is
-    the per-step reference that the integer-count accumulators and the
-    eigenfunction averages below must match."""
-    _check_weights(weights, horizon)
-    get = values if callable(values) else values.__getitem__
-    out = []
-    acc = 0
-    for point, steps in _grid_steps(horizon):
-        w = weights[steps.start : steps.stop]
-        acc = reduce(add, map(mul, map(get, compress(steps, w)), compress(w, w)), acc)
-        out.append((point, _average(acc, point)))
-    return out
 
 
 def _signed_sum(data, start=0, end=None):
@@ -241,11 +340,13 @@ def _xor(a, b):
     return (int.from_bytes(a, "little") ^ int.from_bytes(b, "little")).to_bytes(len(a), "little")
 
 
-def _hit_flags(word, cylinder, length):
-    """Byte i is 0xff where `cylinder` occurs in `word` at i and 0 elsewhere,
-    for i < length; the word must reach length + |cylinder| - 1 symbols."""
+def _hit_flags(word, cylinder, count, stride=1):
+    """Byte i is 0xff where `cylinder` occurs in `word` at stride * i and 0
+    elsewhere, for i < count; the word must reach stride * (count - 1) +
+    |cylinder| symbols."""
     data = word.encode("ascii")
-    return reduce(_and, (data[k : k + length].translate(_MATCH[symbol])
+    end = stride * (count - 1) + 1
+    return reduce(_and, (data[k : k + end : stride].translate(_MATCH[symbol])
                          for k, symbol in enumerate(cylinder)))
 
 
@@ -253,28 +354,32 @@ def cylinder_sarnak_averages(word, cylinder, center, mu, horizon, floors=1, star
     """Mobius averages of a cylinder observable minus `center`, via integer counts.
 
     Step n of a `floors`-floor suspension orbit sits on floor (start_floor + n) % floors
-    and reads word position (start_floor + n) // floors, so the partial sum splits into
-    an integer hit sum and the Mertens sum, combined exactly at grid points only."""
+    and reads word position (start_floor + n) // floors.  `word` is a str or an
+    `OrbitWord`; `mu` holds mu(0..horizon), or is None to sieve it segment by
+    segment.  The partial sum splits into an integer hit sum and the Mertens
+    sum, carried across segments and combined exactly at grid points only."""
     _check_word(cylinder)
     center = Fraction(center)
     reach = _orbit_reach(floors, start_floor, horizon)
     if len(word) < reach + len(cylinder) - 1:
         raise RangeError("orbit word too short for the horizon and window")
-    segments = _grid_steps(horizon)
-    signs = _signs(mu, horizon)
-    hits = _hit_flags(word, cylinder, reach)
-    # byte n - 1 of `stepped` flags a hit at the word position step n reads
-    stepped = bytearray(horizon)
-    for floor in range(floors):
-        base = (start_floor + floor + 1) // floors
-        stepped[floor::floors] = hits[base : base + len(range(floor, horizon, floors))]
-    hit_signs = _and(signs, stepped)
     out = []
     hit_sum = mertens_sum = 0
-    for point, steps in segments:
-        hit_sum += _signed_sum(hit_signs, steps.start - 1, point)
-        mertens_sum += _signed_sum(signs, steps.start - 1, point)
-        out.append((point, Fraction(hit_sum - center * mertens_sum, point)))
+    for (lo, hi, pieces), signs in zip(_steps(horizon, SEGMENT), _sign_segments(mu, horizon)):
+        first = (start_floor + lo) // floors
+        span = (start_floor + hi - 1) // floors - first + 1
+        hits = _hit_flags(word[first : first + span + len(cylinder) - 1], cylinder, span)
+        # byte i of `stepped` flags a hit at the word position step lo + i reads
+        stepped = bytearray(hi - lo)
+        for floor in range(min(floors, hi - lo)):
+            base = (start_floor + lo + floor) // floors - first
+            stepped[floor::floors] = hits[base : base + len(range(floor, hi - lo, floors))]
+        hit_signs = _and(signs, stepped)
+        for a, b, point in pieces:
+            hit_sum += _signed_sum(hit_signs, a, b)
+            mertens_sum += _signed_sum(signs, a, b)
+            if point:
+                out.append((point, Fraction(hit_sum - center * mertens_sum, point)))
     return out
 
 
@@ -282,10 +387,11 @@ def prime_power_averages(word, cylinder, center, p, q, horizon):
     """Partial averages of f(T^{pn} omega) * f(T^{qn} omega) for f centered.
 
     With hits h_p, h_q in {0, 1}, (h_p - c)(h_q - c) expands to
-    h_p*h_q - c*(h_p + h_q) + c^2: two integer counts, combined exactly only
-    at grid points.  p and q must be distinct and >= 1 (primes in the
-    intended use); the orbit word must reach max(p, q) * horizon plus the
-    window."""
+    h_p*h_q - c*(h_p + h_q) + c^2: two integer counts, carried across
+    segments of SEGMENT // max(p, q) steps and combined exactly only at grid
+    points.  p and q must be distinct and >= 1 (primes in the intended use);
+    the orbit word (a str or an `OrbitWord`) must reach max(p, q) * horizon
+    plus the window."""
     _check_word(cylinder)
     if p < 1 or q < 1:
         raise InputError("p and q must be >= 1")
@@ -295,18 +401,19 @@ def prime_power_averages(word, cylinder, center, p, q, horizon):
     need = max(p, q) * horizon + len(cylinder)
     if len(word) < need:
         raise RangeError(f"orbit word must cover {need} symbols")
-    segments = _grid_steps(horizon)
-    hits = _hit_flags(word, cylinder, max(p, q) * horizon + 1)
-    hits_p = hits[: p * horizon + 1 : p]  # byte n flags a hit at word position p * n
-    hits_q = hits[: q * horizon + 1 : q]
-    hits_pq = _and(hits_p, hits_q)
     out = []
     both = either = 0
-    for point, steps in segments:
-        both += hits_pq.count(255, steps.start, steps.stop)
-        either += hits_p.count(255, steps.start, steps.stop)
-        either += hits_q.count(255, steps.start, steps.stop)
-        out.append((point, Fraction(both - center * either + point * center * center, point)))
+    for lo, hi, pieces in _steps(horizon, max(1, SEGMENT // max(p, q))):
+        # byte i flags a hit at word position p * (lo + i), resp. q * (lo + i)
+        hits_p, hits_q = (_hit_flags(word[s * lo : s * (hi - 1) + len(cylinder)], cylinder,
+                                     hi - lo, s) for s in (p, q))
+        hits_pq = _and(hits_p, hits_q)
+        for a, b, point in pieces:
+            both += hits_pq.count(255, a, b)
+            either += hits_p.count(255, a, b) + hits_q.count(255, a, b)
+            if point:
+                out.append((point, Fraction(both - center * either + point * center * center,
+                                            point)))
     return out
 
 
@@ -320,21 +427,22 @@ def eigen_suspension_averages(K, power, mu, horizon, start_floor=0):
 
     Step n sits on floor f = (start_floor + n) % K of the K-floor suspension
     orbit; the eigenfunction reads the floor alone, never the orbit word.
-    The weights mu[1..horizon] must be Mobius values -1, 0 or 1.  Floor f
-    has a row holding table[f] * 1 at byte 0x01 and table[f] * -1 at byte
-    0xff, so each step adds the product `partial_averages` adds, in its
-    order, and the averages match it bit for bit."""
+    `mu` holds the Mobius values mu(0..horizon) (-1, 0 or 1), or is None to
+    sieve them segment by segment.  Floor f has a row holding table[f] * 1 at
+    byte 0x01 and table[f] * -1 at byte 0xff, so each step adds the product
+    acc = acc + table[f] * mu(n), in step order across segments, and float
+    sums round the same way as that per-step loop."""
     _orbit_reach(K, start_floor, horizon)  # refuses a start floor outside 0..K-1
-    segments = _grid_steps(horizon)
-    signs = _signs(mu, horizon)
     table = [cmath.exp(2j * cmath.pi * power * f / K) for f in range(K)]
     rows = [[None, v * 1, *[None] * 253, v * -1] for v in table]  # indexed by signed byte
     out = []
     acc = 0
-    for point, steps in segments:
-        first = (start_floor + steps.start) % K
-        floors = cycle(rows[first:] + rows[:first])
-        seg = signs[steps.start - 1 : steps.stop - 1]
-        acc = reduce(add, compress(map(getitem, floors, seg), seg), acc)
-        out.append((point, _average(acc, point)))
+    for (lo, hi, pieces), signs in zip(_steps(horizon, SEGMENT), _sign_segments(mu, horizon)):
+        for a, b, point in pieces:
+            first = (start_floor + lo + a) % K
+            floors = cycle(rows[first:] + rows[:first])
+            seg = signs[a:b]
+            acc = reduce(add, compress(map(getitem, floors, seg), seg), acc)
+            if point:
+                out.append((point, _average(acc, point)))
     return out

@@ -412,6 +412,7 @@ MALFORMED_MESSAGES = {
     "cylinders-empty-second": "words must be non-empty",
     "sarnak-splice-offset": "a spliced orbit takes no offset",
     "sarnak-center-and-value": "--center and --center-value are mutually exclusive",
+    "katok-not-half-spacered": "needs the half-spacered family",
 }
 
 
@@ -469,6 +470,8 @@ MALFORMED_MESSAGES = {
          "--stage", "6", "--splice-suffix", "3", "--splice-ones", "2", "--offset", "50"],
         ["sarnak", "--config", "chacon:depth=12", "--observable", "cyl:0", "--N", "40",
          "--stage", "6", "--center", "--center-value", "2/3"],
+        ["katok", "--config", "chacon:depth=20", "--alpha", "1/2", "-n", "1", "--ell", "2",
+         "--samples", "1000"],
     ],
     ids=["missing-config", "bad-family-arg", "bad-pairs", "list-config", "start-0",
          "start-0-small-cap", "bad-powers",
@@ -482,7 +485,8 @@ MALFORMED_MESSAGES = {
          "certify-pairs-one-power",
          "certify-pairs-reversed", "heights-n-0", "cocycle-n-negative",
          "correlate-exact-samples", "sarnak-N-0", "suspend-N-0", "primepair-N-negative",
-         "cylinders-empty-second", "sarnak-splice-offset", "sarnak-center-and-value"],
+         "cylinders-empty-second", "sarnak-splice-offset", "sarnak-center-and-value",
+         "katok-not-half-spacered"],
 )
 def test_malformed_input_exits_2(tmp_path, capsys, request, argv):
     for name, doc in MALFORMED_DOCS.items():

@@ -1,23 +1,28 @@
 import cmath
 import random
+import tracemalloc
 from fractions import Fraction
+from functools import reduce
+from itertools import compress
 from math import gcd
+from operator import add, mul
 
 import pytest
 
+import rankone.sarnak as sarnak
 from rankone.blocks import BlockDag, abc_decompose
 from rankone.construction import chacon, von_neumann_kakutani
 from rankone.errors import InputError, RangeError
 from rankone.cli import run_argv
 from rankone.sarnak import (
     OrbitSpec,
+    OrbitWord,
     cylinder_sarnak_averages,
     eigen_suspension_averages,
     geometric_grid,
     mertens,
     mobius_sieve,
     orbit_word,
-    partial_averages,
     prime_power_averages,
 )
 
@@ -52,12 +57,49 @@ def test_sieve_index_zero(limit):
     assert mu[0] == 0
 
 
+FACTORED = [0] + [_mu_by_factorization(n) for n in range(1, 20_001)]
+
+
 def test_sieve_against_factorization():
-    table = [0] + [_mu_by_factorization(n) for n in range(1, 3001)]
-    assert mobius_sieve(3000).tolist() == table
+    assert mobius_sieve(3000).tolist() == FACTORED[:3001]
     # the split between per-prime and per-multiplier flips moves with the limit
-    for limit in range(1, 401):
-        assert mobius_sieve(limit).tolist() == table[: limit + 1], limit
+    for limit in range(1, 5001):
+        assert mobius_sieve(limit).tolist() == FACTORED[: limit + 1], limit
+
+
+@pytest.mark.parametrize("limit", [65_535, 65_536, 65_537, 10**6, 10**7 + 7])
+def test_segmented_sieve_equals_whole_sieve(limit):
+    # past the head, segments flip the large primes by byte sums of weights
+    whole, _ = sarnak._sieve_head(limit)
+    assert mobius_sieve(limit).tobytes() == bytes(whole)
+
+
+@pytest.mark.parametrize("head, segment", [(2, 1), (2, 7), (16, 64), (100, 4096)])
+def test_sieve_with_small_head_and_segments(monkeypatch, head, segment):
+    monkeypatch.setattr(sarnak, "SIEVE_HEAD", head)
+    monkeypatch.setattr(sarnak, "SEGMENT", segment)
+    for limit in [*range(1, 300), 999, 1000, 5000]:
+        assert mobius_sieve(limit).tolist() == FACTORED[: limit + 1], limit
+
+
+def test_segment_failing_the_threshold_check_is_sieved_exactly(monkeypatch):
+    exact = []
+
+    def spy(lo, hi, base):
+        exact.append((lo, hi))
+        return cofactor_flips(lo, hi, base)
+
+    cofactor_flips = sarnak._cofactor_flips
+    monkeypatch.setattr(sarnak, "_cofactor_flips", spy)
+    monkeypatch.setattr(sarnak, "SIEVE_HEAD", 2)
+    monkeypatch.setattr(sarnak, "SEGMENT", 4096)
+    # [32, 1001): c = floor(4 log2 32) - 4 = 16, and 1001^4 > 32^4 * 2^16
+    assert mobius_sieve(1000).tolist() == FACTORED[:1001]
+    assert exact == [(32, 1001)]
+    # from [142, 4097) on: c = 28 - 5 = 23, and 4097^4 <= 142^4 * 2^23, so byte sums decide
+    exact.clear()
+    assert mobius_sieve(20_000).tolist() == FACTORED
+    assert exact == []
 
 
 def test_sieve_multiplicative_property(rng):
@@ -94,6 +136,29 @@ def test_mertens_limit_outside_sieve(limit):
 def test_geometric_grid():
     assert geometric_grid(10) == [1, 2, 3, 5, 10]
     assert geometric_grid(1) == [1]
+
+
+def partial_averages(values, weights, horizon):
+    """Exact partial averages (1/N') * sum_{n<=N'} values[n] * weights[n].
+
+    `values` is indexed from 1 (callable or sequence with [n]); accumulation
+    is exact for int/Fraction values and complex otherwise.  Steps with a zero
+    weight are skipped and the others add `acc = acc + values[n] * weights[n]`
+    in step order, so float sums round the same way on every path.  This is
+    the per-step reference that the integer-count accumulators and the
+    eigenfunction averages must match."""
+    if len(weights) <= horizon:
+        raise InputError(f"need weights at steps 1..{horizon}")
+    get = values if callable(values) else values.__getitem__
+    out, acc, prev = [], 0, 0
+    for point in geometric_grid(horizon):
+        steps = range(prev + 1, point + 1)
+        w = weights[steps.start : steps.stop]
+        acc = reduce(add, map(mul, map(get, compress(steps, w)), compress(w, w)), acc)
+        out.append((point, Fraction(acc, point) if isinstance(acc, (int, Fraction))
+                    else acc / point))
+        prev = point
+    return out
 
 
 def _per_step(value, weights, horizon):
@@ -167,6 +232,75 @@ def test_cylinder_counts_match_per_step_reference(K):
         assert rows == partial_averages(centered_hit, mu, horizon)
         with pytest.raises(RangeError):
             cylinder_sarnak_averages(word[:-1], "01", center, mu, horizon, K, start_floor)
+
+
+@pytest.mark.parametrize("segment", [1, 7, 4096])
+def test_accumulators_match_reference_in_segments(monkeypatch, segment):
+    # segments of 1 and 7 steps split the pieces between grid points, the
+    # floor cycles and the p/q strides; the counts carry across every cut
+    monkeypatch.setattr(sarnak, "SEGMENT", segment)
+    dag = BlockDag(chacon(14))
+    horizon = 700
+    mu = mobius_sieve(horizon)
+    center = Fraction(2, 3)
+    for K in (1, 3, 8):
+        for start_floor in sorted({0, K // 2, K - 1}):
+            spec = OrbitSpec(stage=10, offset=3)
+            length = (start_floor + horizon) // K + 2
+            word = orbit_word(dag, spec, length)
+
+            def centered_hit(n):
+                return int(word.startswith("01", (start_floor + n) // K)) - center
+
+            expected = partial_averages(centered_hit, mu, horizon)
+            for source, weights in ((word, mu), (OrbitWord(dag, spec, length), None)):
+                rows = cylinder_sarnak_averages(source, "01", center, weights, horizon, K,
+                                                start_floor)
+                assert rows == expected
+            with pytest.raises(RangeError):
+                cylinder_sarnak_averages(OrbitWord(dag, spec, length - 1), "01", center, None,
+                                         horizon, K, start_floor)
+    for p, q in ((2, 3), (5, 2), (1, 11)):
+        spec = OrbitSpec(stage=12, offset=7)
+        word = orbit_word(dag, spec, max(p, q) * horizon + 3)
+
+        def product(n):
+            return ((int(word.startswith("010", p * n)) - center)
+                    * (int(word.startswith("010", q * n)) - center))
+
+        expected = partial_averages(product, [1] * (horizon + 1), horizon)
+        assert prime_power_averages(word, "010", center, p, q, horizon) == expected
+        lazy = OrbitWord(dag, spec, max(p, q) * horizon + 3)
+        assert prime_power_averages(lazy, "010", center, p, q, horizon) == expected
+    for K in (1, 3, 5):
+        table = [cmath.exp(2j * cmath.pi * 2 * f / K) for f in range(K)]
+        for start_floor in range(K):
+            expected = partial_averages(lambda n: table[(start_floor + n) % K], mu, horizon)
+            for weights in (mu, None):
+                rows = eigen_suspension_averages(K, 2, weights, horizon, start_floor)
+                assert repr(rows) == repr(expected)
+
+
+@pytest.mark.parametrize("N", [200_000, 2_000_000])
+def test_cli_orbit_averages_memory_is_flat(tmp_path, N):
+    # the README sarnak and suspend eigen lines hold segments, never a
+    # horizon-long buffer: the traced peak stays under a bound fixed in N
+    lines = (
+        ["sarnak", "--config", "chacon:depth=30", "--observable", "cyl:0",
+         "--center-value", "2/3", "--N", str(N), "--stage", "15"],
+        ["suspend", "--config", "chacon:depth=30", "--K", "3", "--observable", "eigen:1",
+         "--N", str(N)],
+    )
+    for k, argv in enumerate(lines):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            code, _ = run_argv(argv, outdir=str(tmp_path / str(k)))
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 4 * 2**20, (argv[0], peak)
 
 
 @pytest.mark.parametrize("K", [1, 2, 3, 5])
@@ -301,6 +435,16 @@ def test_orbit_word_plain_and_spliced():
     # a splice with no suffix starts on the spacer run
     no_suffix = OrbitSpec(stage=8, offset=1, splice_ones=5)
     assert orbit_word(dag, no_suffix, 30) == "1" * 5 + dag.extract(8, 1, 25)
+    # the lazy word reads every slice as the str does
+    for spec, length in ((spec, 40), (spliced, 30), (no_suffix, 30)):
+        word = orbit_word(dag, spec, length)
+        lazy = OrbitWord(dag, spec, length)
+        assert len(lazy) == length
+        for lo in range(length + 1):
+            for hi in range(lo, length + 1):
+                assert lazy[lo:hi] == word[lo:hi]
+    with pytest.raises(InputError):
+        lazy[::2]
 
 
 def test_orbit_word_range_errors():
