@@ -71,8 +71,10 @@ class BlockDag:
     the construction: the heights h_n indexed by stage and, for each stage
     n >= 2, the start offsets of the p_{n-1} copies of B_{n-1} inside B_n
     with the spacer row that follows them.  Two readers use the start
-    offsets: `_extract` descends a stage by one bisection while its range
+    offsets: `_locate` descends a stage by one bisection while its range
     stays inside one piece, and `segments` splits a range into pieces.
+    `_extract` reads a range where `_locate` leaves it, and the sampled
+    correlation serves both words of a sample by one `_locate` of their span.
     Counts of words and word pairs read the spacer rows alone: each stage
     joins its row's pieces, cut down to their edges, into one seam string.
 
@@ -165,27 +167,40 @@ class BlockDag:
 
     def _extract(self, n, lo, hi):
         """Symbols [lo, hi) of B_n, 0-based and unchecked: the caller keeps
-        0 <= lo <= hi <= h_n.
+        0 <= lo <= hi <= h_n.  `_locate` descends; a range it leaves inside
+        `_prefix` is a slice of it, one in a spacer run is all "1"s, and one
+        straddling pieces is joined from `segments`."""
+        n, lo, hi = self._locate(n, lo, hi)
+        if not n:
+            return "1" * (hi - lo)
+        if hi <= len(self._prefix):
+            return self._prefix[lo:hi]
+        return "".join(
+            "1" * (b - a) if child is None else self._extract(n - 1, a - child, b - child)
+            for a, b, child in self.segments(n, lo, hi)
+        )
+
+    def _locate(self, n, lo, hi):
+        """The range [lo, hi) of B_n, 0-based and unchecked, moved into the
+        deepest copy of a block that holds it whole: (m, lo', hi') with the
+        same symbols at [lo', hi') of B_m.  The range then ends within
+        `_prefix` or straddles pieces of B_m's row; m = 0 when it lies in a
+        spacer run, and [lo', hi') keeps only its length.
 
         While the range lies inside one piece of B_n's row, one `bisect_right`
-        on the start offsets descends a stage, or answers a spacer run
-        outright; only a range straddling pieces is split by `segments`.
-        A range ending within `_prefix` is a slice of it at any stage."""
-        heights, layout, prefix = self._heights, self._layout, self._prefix
-        while hi > len(prefix):
+        on the start offsets descends a stage."""
+        heights, layout, limit = self._heights, self._layout, len(self._prefix)
+        while hi > limit:
             starts, row = layout[n]
             j = bisect_right(starts, lo) - 1
             off, h = starts[j], heights[n - 1]
             if hi - off <= h:  # inside copy j of B_{n-1}
                 n, lo, hi = n - 1, lo - off, hi - off
             elif lo - off >= h and hi - off <= h + row[j]:  # inside the spacer run after it
-                return "1" * (hi - lo)
+                return 0, lo, hi
             else:
-                return "".join(
-                    "1" * (b - a) if child is None else self._extract(n - 1, a - child, b - child)
-                    for a, b, child in self.segments(n, lo, hi)
-                )
-        return prefix[lo:hi]
+                break
+        return n, lo, hi
 
     def symbol_at(self, n, i):
         """Symbol of B_n at 1-based position i, by O(depth) descent."""

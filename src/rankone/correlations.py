@@ -4,10 +4,11 @@ The correlation of two words at a lag is the exact fraction of positions of a
 deep block carrying the first word at i and the second at i + lag.  Exact
 values count the pairs by the layout descent of `BlockDag`, and the cap
 bounds each string that descent builds, not the block's length;
-sampled estimates draw seeded uniform positions, one `randrange` each, and
-read each of the two words by one unchecked layout descent (no per-sample
-range check: every drawn position keeps both words inside the block), with a
-Hoeffding 95% half-width.  The verification routines
+sampled estimates draw seeded uniform positions, the values `randrange`
+draws in the same order (by its own rejection loop on `getrandbits`), and
+serve both words of each sample by one unchecked layout descent over their
+joint span (no per-sample range check: every drawn position keeps both words
+inside the block), with a Hoeffding 95% half-width.  The verification routines
 compare measured correlations at the structured lags against the convex
 combinations predicted by the limit laws:
 
@@ -50,33 +51,48 @@ class CorrelationEstimate:
     seed: int = None
 
 
-def _valid_positions(dag, w1, w2, lag, stage):
-    span = max(len(w1), lag + len(w2))
-    valid = dag.height(stage) - span + 1
-    if lag < 0 or valid < 1:
-        raise RangeError(f"lag {lag} leaves no valid positions in stage {stage}")
-    return valid
+def _draws(seed, valid, count):
+    """`count` positions in [0, valid) from `random.Random(seed)`: the values
+    `randrange(valid)` draws, in the same order, by its own rejection loop on
+    `getrandbits`, without its argument handling."""
+    getrandbits = random.Random(seed).getrandbits
+    k = valid.bit_length()
+    for _ in range(count):
+        i = getrandbits(k)
+        while i >= valid:
+            i = getrandbits(k)
+        yield i
 
 
 def correlation(dag, w1, w2, lag, stage, method="exact", sample_budget=None, seed=None):
     """Joint frequency of (w1 at i, w2 at i + lag) over one block."""
     _check_word(w1)
     _check_word(w2)
-    valid = _valid_positions(dag, w1, w2, lag, stage)
+    span = max(len(w1), lag + len(w2))
+    valid = dag.height(stage) - span + 1
+    if lag < 0 or valid < 1:
+        raise RangeError(f"lag {lag} leaves no valid positions in stage {stage}")
     if method == "exact":
         hits = dag._count(w1, w2, lag, stage, capped=True)
         return CorrelationEstimate(w1, w2, lag, stage, Fraction(hits, valid), "EXACT_SCAN")
     if method == "sampled":
-        if not sample_budget or sample_budget < 1:
-            raise InputError("sampled correlation needs a positive sample budget")
-        draw = random.Random(seed).randrange
-        read = dag._extract  # unchecked: both windows of every valid position lie in B_stage
-        len1, len2 = len(w1), len(w2)
+        if type(sample_budget) is not int or sample_budget < 1:  # True is no budget
+            raise InputError("sampled correlation needs a positive integer sample budget")
+        if seed is not None and seed < 0:
+            # Random(-s) seeds as Random(s) does: the draws would repeat another seed's
+            raise InputError("the sampler's seed must be >= 0")
+        ones = "0" not in w1 + w2
+        locate, prefix = dag._locate, dag._prefix
         hits = 0
-        for _ in range(sample_budget):
-            i = draw(valid)
-            if read(stage, i, i + len1) == w1 and read(stage, i + lag, i + lag + len2) == w2:
-                hits += 1
+        for i in _draws(seed, valid, sample_budget):
+            # unchecked: the span of every valid position lies in B_stage
+            m, lo, hi = locate(stage, i, i + span)
+            if not m:  # inside a spacer run
+                hits += ones
+            elif hi <= len(prefix):
+                hits += prefix.startswith(w1, lo) and prefix.startswith(w2, lo + lag)
+            elif dag._extract(m, lo, lo + len(w1)) == w1:
+                hits += dag._extract(m, lo + lag, lo + lag + len(w2)) == w2
         ci = math.sqrt(HOEFFDING_95 / (2 * sample_budget))
         return CorrelationEstimate(
             w1, w2, lag, stage, Fraction(hits, sample_budget), "SAMPLED", sample_budget, ci, seed

@@ -95,6 +95,7 @@ def test_extract_matches_block_slices(seed, memo_limit, data):
         lo = data.draw(st.integers(a, b))
         return lo, data.draw(st.integers(lo, b))
 
+    dag = BlockDag(params, memo_limit=memo_limit)
     ranges = [
         within(copy, copy + h),  # inside copy j of B_{n-1}
         within(copy + h, copy + h + row[j]),  # inside the spacer run after it
@@ -104,9 +105,15 @@ def test_extract_matches_block_slices(seed, memo_limit, data):
         within(0, len(word)),
         (len(word), len(word)),  # the empty range at h_n + 1
     ]
-    dag = BlockDag(params, memo_limit=memo_limit)
+    # ranges ending at the last symbol of the prefix string and one past it
+    ranges += [(data.draw(st.integers(0, end)), end)
+               for end in (len(dag._prefix), len(dag._prefix) + 1) if end <= len(word)]
     for lo, hi in ranges:
         assert dag.extract(n, lo + 1, hi - lo) == word[lo:hi], (lo, hi)
+        # `_locate` names the same symbols: a slice of B_m, or a spacer run when m = 0
+        m, a, b = dag._locate(n, lo, hi)
+        assert b - a == hi - lo and 0 <= m <= n, (lo, hi)
+        assert (_block(params, m)[a:b] if m else "1" * (b - a)) == word[lo:hi], (lo, hi, m)
 
 
 def test_extract_matches_materialize():

@@ -413,6 +413,8 @@ MALFORMED_MESSAGES = {
     "sarnak-splice-offset": "a spliced orbit takes no offset",
     "sarnak-center-and-value": "--center and --center-value are mutually exclusive",
     "katok-not-half-spacered": "needs the half-spacered family",
+    "correlate-negative-seed": "seed must be >= 0",
+    "katok-negative-seed": "seed must be >= 0",
 }
 
 
@@ -472,6 +474,11 @@ MALFORMED_MESSAGES = {
          "--stage", "6", "--center", "--center-value", "2/3"],
         ["katok", "--config", "chacon:depth=20", "--alpha", "1/2", "-n", "1", "--ell", "2",
          "--samples", "1000"],
+        # Random(-s) draws what Random(s) draws: a negative seed would repeat another's run
+        ["correlate", "--config", "chacon:depth=30", "--stage", "31", "--w1", "0", "--w2", "0",
+         "--lag", "40", "--method", "sampled", "--samples", "10", "--seed", "-1"],
+        ["katok", "--config", "katok:depth=4", "--alpha", "1/2", "-n", "1", "--ell", "2",
+         "--samples", "10", "--seed", "-1"],
     ],
     ids=["missing-config", "bad-family-arg", "bad-pairs", "list-config", "start-0",
          "start-0-small-cap", "bad-powers",
@@ -486,7 +493,7 @@ MALFORMED_MESSAGES = {
          "certify-pairs-reversed", "heights-n-0", "cocycle-n-negative",
          "correlate-exact-samples", "sarnak-N-0", "suspend-N-0", "primepair-N-negative",
          "cylinders-empty-second", "sarnak-splice-offset", "sarnak-center-and-value",
-         "katok-not-half-spacered"],
+         "katok-not-half-spacered", "correlate-negative-seed", "katok-negative-seed"],
 )
 def test_malformed_input_exits_2(tmp_path, capsys, request, argv):
     for name, doc in MALFORMED_DOCS.items():

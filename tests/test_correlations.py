@@ -4,8 +4,15 @@ from fractions import Fraction
 import pytest
 
 from rankone.blocks import BlockDag
-from rankone.construction import chacon, generalized_chacon, katok, von_neumann_kakutani
+from rankone.construction import (
+    ConstructionParams,
+    chacon,
+    generalized_chacon,
+    katok,
+    von_neumann_kakutani,
+)
 from rankone.correlations import (
+    _draws,
     correlation,
     verify_half_spacer_mixing,
     verify_rigid_one_spacer,
@@ -103,8 +110,83 @@ def test_sampled_values_pinned(params, w1, w2, lag, stage, samples, seed, value)
 
 def test_sampled_needs_budget():
     dag = BlockDag(chacon(8))
-    with pytest.raises(InputError):
-        correlation(dag, "0", "0", 1, 5, method="sampled")
+    for budget in (None, 0, -3, True, 2.0, "5"):
+        with pytest.raises(InputError, match="positive integer sample budget"):
+            correlation(dag, "0", "0", 1, 5, method="sampled", sample_budget=budget)
+    # Random(-s) draws exactly what Random(s) draws
+    with pytest.raises(InputError, match="seed must be >= 0"):
+        correlation(dag, "0", "0", 1, 5, method="sampled", sample_budget=10, seed=-1)
+
+
+def _sampled_reference(dag, w1, w2, lag, stage, samples, seed):
+    """The per-sample sampler: one `randrange(valid)` per sample, then each
+    word read by its own descent from the top of B_stage and compared."""
+    valid = dag.height(stage) - max(len(w1), lag + len(w2)) + 1
+    draw = random.Random(seed).randrange
+    hits = 0
+    for _ in range(samples):
+        i = draw(valid)
+        if (dag._extract(stage, i, i + len(w1)) == w1
+                and dag._extract(stage, i + lag, i + lag + len(w2)) == w2):
+            hits += 1
+    return Fraction(hits, samples)
+
+
+def _branches(dag, w1, w2, lag, stage, samples, seed):
+    """Where `_locate` leaves the span of each drawn position: in a spacer
+    run, within `_prefix`, or straddling pieces."""
+    span = max(len(w1), lag + len(w2))
+    return {
+        "spacer" if not m else "prefix" if hi <= len(dag._prefix) else "straddle"
+        for m, _, hi in (dag._locate(stage, i, i + span)
+                         for i in _draws(seed, dag.height(stage) - span + 1, samples))
+    }
+
+
+# spacer runs of 2 and 3 symbols at every stage; memo_limit 8 leaves them to the descent
+LONG_RUNS = ConstructionParams((3,) * 10, ((0, 2, 3),) * 10)
+
+
+@pytest.mark.parametrize(
+    "params, dag_kwargs, w1, w2, lag, stage, samples, seed, branch",
+    [
+        (chacon(30), {}, "0", "0", 40, 15, 3000, 1, "prefix"),
+        (LONG_RUNS, {"memo_limit": 8}, "1", "11", 1, 11, 3000, 2, "spacer"),
+        (katok(cuts=(100, 10000)), {}, "0", "1", 26, 3, 3000, 1, "straddle"),
+        (chacon(30), {}, "0", "01", 100_000, 31, 500, 7, "straddle"),
+        (chacon(30), {}, "0", "01", 0, 20, 3000, 3, "prefix"),
+        (chacon(30), {"cap": 1000}, "01", "1", 3, 31, 2000, 5, "straddle"),
+        (chacon(30), {}, "0", "0", 40, 11, 2000, 1, "prefix"),
+    ],
+    ids=["inside-prefix", "inside-spacer-run", "katok-lag-26", "span-longer-than-prefix",
+         "lag-0-longer-w2", "beyond-cap", "block-is-prefix"],
+)
+def test_sampler_matches_per_sample_reference(request, params, dag_kwargs, w1, w2, lag, stage,
+                                              samples, seed, branch):
+    dag = BlockDag(params, **dag_kwargs)
+    case = request.node.callspec.id
+    if case == "span-longer-than-prefix":
+        assert lag > len(dag._prefix)
+    if case == "block-is-prefix":
+        assert dag.height(stage) == len(dag._prefix)
+    if case == "beyond-cap":
+        assert dag.height(stage) > dag.cap
+    assert branch in _branches(dag, w1, w2, lag, stage, samples, seed)
+    est = correlation(dag, w1, w2, lag, stage, method="sampled", sample_budget=samples,
+                      seed=seed)
+    assert est.value == _sampled_reference(dag, w1, w2, lag, stage, samples, seed)
+
+
+@pytest.mark.parametrize(
+    "valid",
+    [1, 2, 3, 2**20 - 1, 2**20, 2**20 + 1, 2**32 - 1, 2**32 + 1, 2**64 + 1,
+     BlockDag(chacon(30)).height(31)],
+)
+def test_draws_replicate_randrange(valid):
+    # the sampler's draws are randrange's, value for value: seeded runs keep their outputs
+    for seed in (0, 1, 7, 2**31 - 1, 2**80 + 3):
+        rng = random.Random(seed)
+        assert list(_draws(seed, valid, 300)) == [rng.randrange(valid) for _ in range(300)]
 
 
 def test_weak_limit_prediction_zero_spacer():
