@@ -244,9 +244,11 @@ def cmd_freq(run):
         maxlen = 3 if run.args.maxlen is None else run.args.maxlen
         if maxlen < 1:
             raise InputError("--maxlen must be at least 1")
-        # the enumeration stops at the block's length; a named word must fit
-        words = [w for w in cylinder_words(2 ** (maxlen + 1) - 2)
-                 if len(w) <= dag.height(stage)]
+        # the enumeration stops at the block's length; a named word must fit.
+        # Words of lengths 1..m hold (m - 1) * 2^(m + 1) + 2 symbols in all
+        maxlen = min(maxlen, dag.height(stage))
+        dag.check_cap((maxlen - 1) * 2 ** (maxlen + 1) + 2)
+        words = cylinder_words(2 ** (maxlen + 1) - 2)
     rows = []
     for w in words:
         est = dag.frequency(w, stage)

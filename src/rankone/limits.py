@@ -141,6 +141,8 @@ def detect_stabilizing(params, window=(2, 8), search_range=None):
     n0, n1 = search_range
     if n0 - left < 1 or n1 + right > params.depth:
         raise RangeError("search range plus window leaves the prefix")
+    if n0 > n1:
+        raise RangeError(f"empty search range [{n0}, {n1}]")
     groups = {}
     for n in range(n0, n1 + 1):
         key = tuple(

@@ -3,17 +3,18 @@
 Every accumulator walks its horizon in segments of SEGMENT steps and carries
 its running integer counts (the eigen sum: its complex accumulator, in step
 order) from one segment to the next, so no buffer as long as the horizon is
-held.  A segment's Mobius values come from a segmented slice sieve (see
-`mobius_sieve`) as signed bytes, and its orbit symbols from one layout descent
-of an `OrbitWord`, so horizons far beyond the materialization cap are
-feasible.  The cylinder and prime-pair accumulators turn a segment's stretch
-of the orbit word into a byte string of hit flags and count each grid piece
-with `bytes.count`, so their sums are integer counts combined with the center
-at grid points only.  Partial averages are exact (rationals for
-rational-valued observables) and emitted on a geometric grid of horizons.
-Decay is reported, never "verified": the vanishing of these averages is an
-asymptotic statement, so acceptance rests on recorded regression baselines
-and trend diagnostics, not on the conjecture.
+held.  A segment's Mobius values come as signed bytes from one sieve
+segment, decided by byte sums of base-prime weights (see `mobius_sieve`),
+and its orbit symbols from one layout descent of an `OrbitWord`, so
+horizons far beyond the materialization cap are feasible.  The cylinder and
+prime-pair accumulators turn a segment's stretch of the orbit word into a
+byte string of hit flags and count each grid piece with `bytes.count`, so
+their sums are integer counts combined with the center at grid points only.
+Partial averages are exact (rationals for rational-valued observables) and
+emitted on a geometric grid of horizons.  Decay is reported, never
+"verified": the vanishing of these averages is an asymptotic statement, so
+acceptance rests on recorded regression baselines and trend diagnostics, not
+on the conjecture.
 
 The K-floor suspension pairs step n with floor (start_floor + n) % K and
 base position (start_floor + n) // K, modelling a finite cyclic group of
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import compress, cycle
-from math import isqrt
+from math import gcd, isqrt
 from operator import add, getitem
 
 from .blocks import BlockDag, _check_word
@@ -48,17 +49,11 @@ __all__ = [
     "eigen_suspension_averages",
 ]
 
-# steps per accumulator segment, and numbers per sieve segment past the head
+# steps per accumulator segment, and numbers per sieve segment, the first included
 SEGMENT = 1 << 16
-# the sieve's head [1, SIEVE_HEAD) is sieved whole
-SIEVE_HEAD = 1 << 16
 
 # byte tables: a Mobius value is stored as its low byte, so -1 is 0xff
-_PRIME_TO_MU = bytes.maketrans(b"\x00\x01", b"\x01\xff")
 _NEGATE = bytes.maketrans(b"\x01\xff", b"\xff\x01")
-_PRIME_TO_FLIP = bytes.maketrans(b"\x01", b"\xfe")  # 0x01 ^ 0xfe == 0xff
-# primes above limit // _SPLIT have fewer than _SPLIT multiples in range
-_SPLIT = 16
 _MATCH = {s: bytes(255 * (i == ord(s)) for i in range(256)) for s in "01"}
 
 
@@ -66,50 +61,26 @@ def mobius_sieve(limit):
     """mu(0..limit) as an array('b'), with mu(0) = 0: the join of the
     segments of `_mobius_segments`, the one sieve behind every accumulator.
 
-    The head [1, max(SIEVE_HEAD, s + 1)), s = isqrt(limit), is sieved whole:
-    each n starts at -1 if prime, else +1; a prime p <= head // _SPLIT negates
-    its stride 2p, 3p, ...; for each m < _SPLIT, one XOR with 0xfe flips m * p
-    for all the larger primes p at once.
-
-    A later segment [L, R) starts at +1, and each base prime p <= s negates
-    its multiples and adds w_p = floor(4 log2 p) to their byte sums S.  A
-    squarefree n in [L, R) is P * m, where P is the product of its base
-    primes and m is 1 or one prime above s (two would exceed the limit).
-    Since w_p > 4 log2 p - 1, and P has at most omega_max prime factors (the
-    most any n <= limit has), 4 log2 P - omega_max < S <= 4 log2 P.  If
-    m = 1, then P = n >= L, so S > c := floor(4 log2 L) - omega_max.  If
-    m > s, then P < R / (s + 1), so S < c whenever R^4 <= (s + 1)^4 * 2^c.
-    That inequality is checked in exact integers, with R < 2^64 keeping S
-    below 256; then S < c flips exactly the n with a prime factor above s.
-    A segment that fails the check divides its base primes out of each n
-    as a Python int instead, and flips where a cofactor above 1 is left.
-    In every segment the p^2 strides are zeroed last, so every flip meets
-    a +-1."""
+    A segment [L, R) starts at +1, and each base prime p <= s = isqrt(limit)
+    negates its multiples and adds w_p = floor(4 log2 p) to their byte sums
+    S.  A squarefree n in [L, R) is P * m, where P is the product of its base
+    primes and m is 1 or one prime above s (two would exceed the limit), so
+    mu(n) is the sign so far, flipped once more if m > s.  Since
+    w_p > 4 log2 p - 1, and P has at most omega_max prime factors (the most
+    any n <= limit has), 4 log2 P - omega_max < S <= 4 log2 P for P > 1.
+    Let c >= 1 be least with R^4 <= (s + 1)^4 * 2^c, and x the least n with
+    floor(4 log2 n) >= c + omega_max.  If m > s, then P < R / (s + 1), so
+    S < c.  If m = 1 and n >= x, then P = n and S > 4 log2 n - omega_max
+    >= c.  So on [max(L, x), R) the test S < c flips exactly the n with a
+    prime factor above s; R < 2^64 keeps S below 256, and a segment with
+    R >= 2^64 takes x = R.  Below x, a stretch only near the start of the
+    sieve, each n has its base primes divided out as a Python int instead,
+    and flips where a cofactor above 1 is left.  The p^2 strides are zeroed
+    last, so every flip meets a +-1."""
     mu = array("b", b"\0")
     for segment in _mobius_segments(limit):
         mu.frombytes(segment)
     return mu
-
-
-def _sieve_head(limit):
-    """(mu(0..limit) as bytes, the prime flags of 0..limit), sieved whole."""
-    prime = bytearray([1]) * (limit + 1)
-    prime[:2] = b"\0\0"
-    for p in range(2, isqrt(limit) + 1):
-        if prime[p]:
-            prime[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
-    mu = prime.translate(_PRIME_TO_MU)
-    mu[0] = 0
-    split = limit // _SPLIT
-    for p in compress(range(split + 1), prime):
-        mu[2 * p :: p] = mu[2 * p :: p].translate(_NEGATE)
-    for m in range(2, _SPLIT):
-        top = limit // m
-        stride = slice(m * (split + 1), m * top + 1, m)  # m * p for split < p <= top
-        mu[stride] = _xor(mu[stride], prime[split + 1 : top + 1].translate(_PRIME_TO_FLIP))
-    for p in compress(range(isqrt(limit) + 1), prime):
-        mu[p * p :: p * p] = bytes(len(range(p * p, limit + 1, p * p)))
-    return mu, prime
 
 
 def _mobius_segments(limit):
@@ -117,28 +88,25 @@ def _mobius_segments(limit):
     if limit < 1:
         raise InputError("need limit >= 1")
     root = isqrt(limit)
-    top = min(limit, max(SIEVE_HEAD - 1, root))
-    head, prime = _sieve_head(top)
-    omega, product = 0, 1  # omega_max: the longest primorial 2*3*5*... <= limit
-    for p in compress(range(top + 1), prime):
-        product *= p
-        if product > limit:
-            break
-        omega += 1
+    prime = bytearray([1]) * (root + 1)
+    for p in range(2, isqrt(root) + 1):
+        if prime[p]:
+            prime[p * p :: p] = bytes(len(range(p * p, root + 1, p)))
     base = []  # each base prime p <= root with its table adding w_p to a byte
-    for p in compress(range(root + 1), prime):
+    for p in compress(range(2, root + 1), prime[2:]):
         w = (p**4).bit_length() - 1
         base.append((p, bytes(range(w, 256)) + bytes(range(w))))
+    omega, product, m = 0, 1, 2  # omega_max: the longest primorial 2*3*5*... <= limit
+    while product * m <= limit:
+        if gcd(product, m) == 1:  # product holds every prime below m, so m is prime
+            omega, product = omega + 1, product * m
+        m += 1
     for lo in range(1, limit + 1, SEGMENT):
-        hi = min(lo + SEGMENT, limit + 1)
-        if hi <= top + 1:
-            yield head[lo:hi]
-        else:
-            yield head[lo : top + 1] + _sieve_segment(max(lo, top + 1), hi, base, root, omega)
+        yield _sieve_segment(lo, min(lo + SEGMENT, limit + 1), base, root, omega)
 
 
 def _sieve_segment(lo, hi, base, root, omega):
-    """mu(lo..hi-1) as bytes for root < lo < hi, from the base primes p <= root."""
+    """mu(lo..hi-1) as bytes for 1 <= lo < hi, from the base primes p <= root."""
     size = hi - lo
     mu = bytearray(b"\x01") * size
     sums = bytearray(size)
@@ -146,11 +114,15 @@ def _sieve_segment(lo, hi, base, root, omega):
         first = -lo % p
         mu[first::p] = mu[first::p].translate(_NEGATE)
         sums[first::p] = sums[first::p].translate(add_weight)
-    c = (lo**4).bit_length() - 1 - omega
-    if 0 < c and hi.bit_length() <= 64 and hi**4 <= (root + 1) ** 4 << c:
-        flips = sums.translate(b"\xfe" * c + bytes(256 - c))
-    else:
-        flips = _cofactor_flips(lo, hi, base)
+    c = max(1, ((hi**4 - 1) // (root + 1) ** 4).bit_length())
+    x = hi  # byte sums decide [x, hi), x the least n >= lo with n^4 >= 2^(c + omega)
+    if hi.bit_length() <= 64:
+        bound = 1 << c + omega
+        x = isqrt(isqrt(bound))
+        x = min(max(x + (x**4 < bound), lo), hi)
+    flips = _cofactor_flips(lo, x, base) if x > lo else b""
+    if x < hi:
+        flips += sums[x - lo :].translate(b"\xfe" * c + bytes(256 - c))
     mu = bytearray(_xor(mu, flips))
     for p, _ in base:
         if p * p >= hi:
@@ -162,7 +134,8 @@ def _sieve_segment(lo, hi, base, root, omega):
 
 def _cofactor_flips(lo, hi, base):
     """0xfe where n in [lo, hi) keeps a cofactor above 1 once each base prime
-    dividing it is divided out once, else 0: the exact path of a segment."""
+    dividing it is divided out once, else 0: the exact path below a
+    segment's byte-sum threshold."""
     rest = list(range(lo, hi))
     for p, _ in base:
         first = -lo % p

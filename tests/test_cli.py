@@ -56,6 +56,22 @@ def test_blocks_and_freq(tmp_path, capsys):
         assert read_csv(tmp_path / "freq.csv")[1] == ["00", "5", "40", "120", "1/3"]
 
 
+def test_freq_maxlen_stops_at_the_block_and_the_cap(tmp_path):
+    # B_2 has 4 symbols: --maxlen 18 writes the 30 words of lengths 1..4, as --maxlen 4 does
+    freq = ["freq", "--config", "chacon:depth=12", "--stage", "2"]
+    for maxlen in ("4", "18"):
+        code, _ = run(freq + ["--maxlen", maxlen], tmp_path / maxlen)
+        assert code == 0
+    table = (tmp_path / "4" / "freq.csv").read_bytes()
+    assert len(read_csv(tmp_path / "4" / "freq.csv")) == 31
+    assert (tmp_path / "18" / "freq.csv").read_bytes() == table
+    # words of lengths 1..m hold (m - 1) * 2^(m + 1) + 2 symbols: 98 for m = 4
+    freq = ["freq", "--config", "chacon:depth=30", "--stage", "30", "--maxlen", "4",
+            "--out", str(tmp_path)]
+    assert main(freq + ["--cap", "98"]) == 0
+    assert main(freq + ["--cap", "97"]) == 3
+
+
 def test_json_tables_match_csv(tmp_path):
     argv = ["freq", "--config", "chacon:depth=8", "--stage", "5", "--maxlen", "2"]
     assert run(argv, tmp_path / "csv")[0] == 0
@@ -415,6 +431,10 @@ MALFORMED_MESSAGES = {
     "katok-not-half-spacered": "needs the half-spacered family",
     "correlate-negative-seed": "seed must be >= 0",
     "katok-negative-seed": "seed must be >= 0",
+    "profile-range-reversed": "empty search range [9, 4]",
+    "profile-default-range-empty": "empty search range [3, -3]",
+    "certify-prefix-too-short": "empty search range [5, 3]",
+    "pj-prefix-too-short": "empty search range [5, 3]",
 }
 
 
@@ -479,6 +499,12 @@ MALFORMED_MESSAGES = {
          "--lag", "40", "--method", "sampled", "--samples", "10", "--seed", "-1"],
         ["katok", "--config", "katok:depth=4", "--alpha", "1/2", "-n", "1", "--ell", "2",
          "--samples", "10", "--seed", "-1"],
+        ["profile", "--config", "chacon:depth=30", "--range", "9", "4"],
+        # the default range (left + 1, depth - right) is (3, -3)
+        ["profile", "--config", "chacon:depth=10", "--window", "2", "13"],
+        # auto-derived profiles search (5, depth - depth_needed - 1): empty for depth 10
+        ["certify", "--config", "chacon:depth=10", "--pairs", "1..3", "--depth", "6"],
+        ["pj", "--config", "chacon:depth=10", "-j", "1", "--depth", "6"],
     ],
     ids=["missing-config", "bad-family-arg", "bad-pairs", "list-config", "start-0",
          "start-0-small-cap", "bad-powers",
@@ -493,7 +519,9 @@ MALFORMED_MESSAGES = {
          "certify-pairs-reversed", "heights-n-0", "cocycle-n-negative",
          "correlate-exact-samples", "sarnak-N-0", "suspend-N-0", "primepair-N-negative",
          "cylinders-empty-second", "sarnak-splice-offset", "sarnak-center-and-value",
-         "katok-not-half-spacered", "correlate-negative-seed", "katok-negative-seed"],
+         "katok-not-half-spacered", "correlate-negative-seed", "katok-negative-seed",
+         "profile-range-reversed", "profile-default-range-empty", "certify-prefix-too-short",
+         "pj-prefix-too-short"],
 )
 def test_malformed_input_exits_2(tmp_path, capsys, request, argv):
     for name, doc in MALFORMED_DOCS.items():

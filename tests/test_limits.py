@@ -111,6 +111,16 @@ def test_detect_stabilizing_growing_cuts_empty():
     assert detect_stabilizing(generalized_chacon(16), window=(1, 2), search_range=(2, 13)) == []
 
 
+def test_detect_stabilizing_refuses_an_empty_range():
+    # a one-index range is searched (one index repeats nothing); a reversed one is refused
+    assert detect_stabilizing(chacon(24), window=(2, 8), search_range=(7, 7)) == []
+    for search_range in [(9, 4), (8, 7)]:
+        with pytest.raises(RangeError, match="empty search range"):
+            detect_stabilizing(chacon(24), window=(2, 8), search_range=search_range)
+    with pytest.raises(RangeError, match=r"empty search range \[3, -3\]"):
+        detect_stabilizing(chacon(10), window=(2, 13))
+
+
 def test_certificate_chacon_pairs():
     verdicts = certify_powers(CHACON_PROFILE, list(combinations(range(1, 6), 2)), depth=12)
     assert all(v.verdict == "DISJOINT" for v in verdicts)

@@ -4,7 +4,7 @@ import tracemalloc
 from fractions import Fraction
 from functools import reduce
 from itertools import compress
-from math import gcd
+from math import gcd, isqrt
 from operator import add, mul
 
 import pytest
@@ -62,21 +62,51 @@ FACTORED = [0] + [_mu_by_factorization(n) for n in range(1, 20_001)]
 
 def test_sieve_against_factorization():
     assert mobius_sieve(3000).tolist() == FACTORED[:3001]
-    # the split between per-prime and per-multiplier flips moves with the limit
+    # the exact stretch below the byte-sum threshold moves with the limit
     for limit in range(1, 5001):
         assert mobius_sieve(limit).tolist() == FACTORED[: limit + 1], limit
 
 
+# the whole-range reference for the segmented sieve: each n starts at -1 if
+# prime, else +1; a prime p <= limit // _SPLIT negates its stride 2p, 3p, ...;
+# for each m < _SPLIT, one XOR with 0xfe flips m * p for all larger primes p
+_PRIME_TO_MU = bytes.maketrans(b"\x00\x01", b"\x01\xff")
+_NEGATE = bytes.maketrans(b"\x01\xff", b"\xff\x01")
+_PRIME_TO_FLIP = bytes.maketrans(b"\x01", b"\xfe")  # 0x01 ^ 0xfe == 0xff
+_SPLIT = 16  # primes above limit // _SPLIT have fewer than _SPLIT multiples in range
+
+
+def _whole_sieve(limit):
+    """mu(0..limit) as bytes (-1 is 0xff), sieved whole."""
+    prime = bytearray([1]) * (limit + 1)
+    prime[:2] = b"\0\0"
+    for p in range(2, isqrt(limit) + 1):
+        if prime[p]:
+            prime[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
+    mu = prime.translate(_PRIME_TO_MU)
+    mu[0] = 0
+    split = limit // _SPLIT
+    for p in compress(range(split + 1), prime):
+        mu[2 * p :: p] = mu[2 * p :: p].translate(_NEGATE)
+    for m in range(2, _SPLIT):
+        top = limit // m
+        stride = slice(m * (split + 1), m * top + 1, m)  # m * p for split < p <= top
+        flips = prime[split + 1 : top + 1].translate(_PRIME_TO_FLIP)
+        xor = int.from_bytes(mu[stride], "little") ^ int.from_bytes(flips, "little")
+        mu[stride] = xor.to_bytes(len(flips), "little")
+    for p in compress(range(isqrt(limit) + 1), prime):
+        mu[p * p :: p * p] = bytes(len(range(p * p, limit + 1, p * p)))
+    return bytes(mu)
+
+
 @pytest.mark.parametrize("limit", [65_535, 65_536, 65_537, 10**6, 10**7 + 7])
 def test_segmented_sieve_equals_whole_sieve(limit):
-    # past the head, segments flip the large primes by byte sums of weights
-    whole, _ = sarnak._sieve_head(limit)
-    assert mobius_sieve(limit).tobytes() == bytes(whole)
+    # segments of 2^16 numbers: limits end inside, at and past the first one
+    assert mobius_sieve(limit).tobytes() == _whole_sieve(limit)
 
 
-@pytest.mark.parametrize("head, segment", [(2, 1), (2, 7), (16, 64), (100, 4096)])
-def test_sieve_with_small_head_and_segments(monkeypatch, head, segment):
-    monkeypatch.setattr(sarnak, "SIEVE_HEAD", head)
+@pytest.mark.parametrize("segment", [1, 7, 64, 4096])
+def test_sieve_with_small_segments(monkeypatch, segment):
     monkeypatch.setattr(sarnak, "SEGMENT", segment)
     for limit in [*range(1, 300), 999, 1000, 5000]:
         assert mobius_sieve(limit).tolist() == FACTORED[: limit + 1], limit
@@ -91,15 +121,33 @@ def test_segment_failing_the_threshold_check_is_sieved_exactly(monkeypatch):
 
     cofactor_flips = sarnak._cofactor_flips
     monkeypatch.setattr(sarnak, "_cofactor_flips", spy)
-    monkeypatch.setattr(sarnak, "SIEVE_HEAD", 2)
     monkeypatch.setattr(sarnak, "SEGMENT", 4096)
-    # [32, 1001): c = floor(4 log2 32) - 4 = 16, and 1001^4 > 32^4 * 2^16
+    # [1, 1001), s = 31, omega_max = 4: 1001^4 <= 32^4 * 2^c from c = 20 on,
+    # and floor(4 log2 n) >= 24 from n = 64 on
     assert mobius_sieve(1000).tolist() == FACTORED[:1001]
-    assert exact == [(32, 1001)]
-    # from [142, 4097) on: c = 28 - 5 = 23, and 4097^4 <= 142^4 * 2^23, so byte sums decide
+    assert exact == [(1, 64)]
+    # [1, 4097), s = 141, omega_max = 5: c = 20, and floor(4 log2 n) >= 25 from
+    # n = 77 on; [4097, 8193) has c = 24, and 153 < 4097, so byte sums decide it whole
     exact.clear()
     assert mobius_sieve(20_000).tolist() == FACTORED
-    assert exact == []
+    assert exact == [(1, 77)]
+
+
+@pytest.mark.parametrize("limit, omega_max",
+                         [(1, 0), (2, 1), (5, 1), (6, 2), (8, 2), (29, 2), (30, 3),
+                          (209, 3), (210, 4), (2309, 4), (2310, 5)])
+def test_omega_max_counts_primes_above_the_root(monkeypatch, limit, omega_max):
+    # at limit 6 the only base prime is 2, yet 6 = 2 * 3 has two prime factors
+    seen = set()
+
+    def spy(lo, hi, base, root, omega):
+        seen.add(omega)
+        return sieve_segment(lo, hi, base, root, omega)
+
+    sieve_segment = sarnak._sieve_segment
+    monkeypatch.setattr(sarnak, "_sieve_segment", spy)
+    assert mobius_sieve(limit).tolist() == FACTORED[: limit + 1]
+    assert seen == {omega_max}
 
 
 def test_sieve_multiplicative_property(rng):
@@ -125,6 +173,8 @@ def test_mertens_small():
     assert mertens(mu, 10**4) == -23
     assert mertens(mu, 10**5) == -48
     assert mertens(mu) == 212
+    # OEIS A084237: M(10^6) = 212, M(10^7) = 1037
+    assert mertens(mobius_sieve(10**7)) == 1037
 
 
 @pytest.mark.parametrize("limit", [-1, 11, 1000])
