@@ -26,6 +26,7 @@ from .construction import ConstructionParams, heights, spacer_stats
 from .errors import InputError, RangeError, Refusal
 
 DEFAULT_CAP = 10_000_000
+PREFIX_LIMIT = 1 << 17
 
 
 def _check_word(word):
@@ -80,16 +81,16 @@ class BlockDag:
 
     Every block begins with the block before it, so B_1, B_2, ... are
     prefixes of one limit word.  `__init__` also builds `_prefix`, the
-    deepest block of at most `memo_limit` symbols; any range of any block
-    that ends within it is a slice of it, and descents stop there.  Queries
-    are deterministic and cache nothing else.
+    deepest block of at most min(PREFIX_LIMIT, cap) symbols; any range of any
+    block that ends within it is a slice of it, and descents stop there.
+    Queries are deterministic and cache nothing else.
 
     The cap bounds every string built for a caller, and `check_cap` is its
     one check: a materialized block, a range the CLI prints, a period prefix
     and each string an exact correlation builds.  Word counts and orbit words
     are not capped."""
 
-    def __init__(self, params: ConstructionParams, cap=DEFAULT_CAP, memo_limit=1 << 17):
+    def __init__(self, params: ConstructionParams, cap=DEFAULT_CAP):
         self.params = params
         self.cap = cap
         self._heights = (0,) + heights(params, params.depth).heights
@@ -98,7 +99,7 @@ class BlockDag:
             for h, row in zip(self._heights[1:], params.spacers)
         )
         prefix = "0"  # B_1: every descent ends by then
-        limit = min(memo_limit, cap)
+        limit = min(PREFIX_LIMIT, cap)
         for h, row in zip(self._heights[2:], params.spacers):
             if h > limit:
                 break

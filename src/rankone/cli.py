@@ -188,11 +188,7 @@ def _load_profile(run, depth_needed):
             return LimitProfile.from_doc(source)
     params = load_construction(source)
     run.config_doc = params.to_doc()
-    left = 4
-    right = depth_needed + 1
-    cands = detect_stabilizing(
-        params, window=(left, right), search_range=(left + 1, params.depth - right)
-    )
+    cands = detect_stabilizing(params, window=(4, depth_needed + 1))
     if not cands:
         raise Refusal(
             "no stabilizing window pattern repeats in this prefix; supply a "
@@ -245,9 +241,13 @@ def cmd_freq(run):
         if maxlen < 1:
             raise InputError("--maxlen must be at least 1")
         # the enumeration stops at the block's length; a named word must fit.
-        # Words of lengths 1..m hold (m - 1) * 2^(m + 1) + 2 symbols in all
+        # Words of lengths 1..m hold (m - 1) * 2^(m + 1) + 2 symbols in all,
+        # more than the cap once m exceeds its bit length, so that total is
+        # formed only for m up to there
         maxlen = min(maxlen, dag.height(stage))
-        dag.check_cap((maxlen - 1) * 2 ** (maxlen + 1) + 2)
+        if maxlen > dag.cap.bit_length() or (maxlen - 1) * 2 ** (maxlen + 1) + 2 > dag.cap:
+            raise Refusal(f"the words of lengths 1..{maxlen} hold more symbols in all than "
+                          f"the materialization cap {dag.cap}; lower --maxlen or raise --cap")
         words = cylinder_words(2 ** (maxlen + 1) - 2)
     rows = []
     for w in words:
@@ -283,9 +283,7 @@ def cmd_pj(run):
 
 def cmd_profile(run):
     params = _load(run)
-    left, right = run.args.window
-    n0, n1 = run.args.range or (left + 1, params.depth - right)
-    cands = detect_stabilizing(params, (left, right), (n0, n1))
+    cands = detect_stabilizing(params, run.args.window, run.args.range)
     doc = [
         {
             "indices": list(c.indices),
@@ -492,7 +490,8 @@ def _cylinder_averages(dag, spec, cylinder, center, horizon, floors=1, start_flo
     """Mobius averages of a centered cylinder along the orbit of `spec`, on
     `floors` floors from `start_floor`, read and sieved segment by segment."""
     word = OrbitWord(dag, spec, _orbit_reach(floors, start_floor, horizon) + len(cylinder) - 1)
-    return cylinder_sarnak_averages(word, cylinder, center, None, horizon, floors, start_floor)
+    return cylinder_sarnak_averages(word, cylinder, center, horizon=horizon, floors=floors,
+                                    start_floor=start_floor)
 
 
 def _write_averages(run, name, rows, fmt=_rat):
@@ -533,7 +532,7 @@ def cmd_suspend(run):
         # the eigenfunction reads only the floor, but the orbit must stay in
         # B_stage: building the lazy word checks its window and reads nothing
         OrbitWord(dag, spec, _orbit_reach(K, start_floor, horizon))
-        rows = eigen_suspension_averages(K, payload, None, horizon, start_floor)
+        rows = eigen_suspension_averages(K, payload, horizon, start_floor)
         _write_averages(run, "suspend.csv", rows, lambda z: f"{z.real:.17g}{z.imag:+.17g}i")
     else:
         # the floors are measure-uniform: the block frequency centers every floor

@@ -149,6 +149,9 @@ def verify_weak_limit_prediction(dag, stage, j, pairs, depth=12, scan_stage=None
     through the inverse, so the words swap roles); the declared tail mass (at
     most j * 2^-depth) is the only unweighted remainder."""
     dist = cocycle_distribution(dag.params, stage, j, depth)
+    if not dist.masses:
+        raise Refusal(f"the law at depth {depth} enumerates no mass, only its tail "
+                      f"{dist.tail}; raise the depth (--depth)")
     lag = j * dag.height(stage + 1)
     scan = _scan_stage_for(dag, lag, _word_margin(pairs, max(dist.support())), scan_stage)
     return [

@@ -358,16 +358,18 @@ def certify_powers(profile, pairs, depth=12):
             dists[j] = limit_distribution(profile, j, depth)
         return dists[j]
 
+    def coset(d):
+        # a law with no enumerated mass has no element to anchor its coset at
+        if inv.difference_gcd and inv.difference_gcd > 1 and d.masses:
+            return (inv.difference_gcd, d.support()[0], inv.window)
+        return None
+
     verdicts = []
     for j1, j2 in pairs:
         if j1 < 1 or j2 < 1:
             raise InputError("powers must be >= 1")
         d1, d2 = dist(j1), dist(j2)
-        coset1 = coset2 = None
-        if inv.difference_gcd and inv.difference_gcd > 1:
-            coset1 = (inv.difference_gcd, d1.support()[0], inv.window)
-            coset2 = (inv.difference_gcd, d2.support()[0], inv.window)
-        v = disjointness_certificate(d1, d2, j1, j2, coset1, coset2, depth)
+        v = disjointness_certificate(d1, d2, j1, j2, coset(d1), coset(d2), depth)
         if v.disjoint:
             v = replace(
                 v, witness=v.witness + f"; eta bound {inv.eta_bound} gives exponential tails"

@@ -267,37 +267,6 @@ def _steps(horizon, size):
         yield lo, hi, pieces
 
 
-def _sign_segments(mu, horizon):
-    """mu(1..horizon) as bytes (-1 is 0xff), SEGMENT steps at a time: sieved
-    when `mu` is None, else read off `mu`, whose values at steps 1..horizon
-    must be ints -1, 0 or 1."""
-    if mu is None:
-        return _mobius_segments(horizon)
-    if len(mu) <= horizon:
-        raise InputError(f"need weights at steps 1..{horizon}")
-    return (_signs(mu[lo : min(lo + SEGMENT, horizon + 1)])
-            for lo in range(1, horizon + 1, SEGMENT))
-
-
-def _signs(values):
-    """Mobius values as bytes, -1 as 0xff; anything but an int -1, 0 or 1 is refused."""
-    weights = array("b")
-    try:
-        # extend, unlike the constructor, reads bytes as 0..255, not as signed bytes
-        weights.extend(values)
-    except (OverflowError, TypeError) as exc:
-        raise InputError("Mobius weights must be ints -1, 0 or 1") from exc
-    signs = weights.tobytes()
-    if signs.translate(None, b"\x00\x01\xff"):
-        raise InputError("Mobius weights must be ints -1, 0 or 1")
-    return signs
-
-
-def _average(acc, point):
-    """acc / point, exact unless the sum went complex."""
-    return Fraction(acc, point) if isinstance(acc, (int, Fraction)) else acc / point
-
-
 def _signed_sum(data, start=0, end=None):
     """Sum of the Mobius values stored as bytes in data[start:end]."""
     return data.count(1, start, end) - data.count(255, start, end)
@@ -323,14 +292,14 @@ def _hit_flags(word, cylinder, count, stride=1):
                          for k, symbol in enumerate(cylinder)))
 
 
-def cylinder_sarnak_averages(word, cylinder, center, mu, horizon, floors=1, start_floor=0):
+def cylinder_sarnak_averages(word, cylinder, center, horizon, floors=1, start_floor=0):
     """Mobius averages of a cylinder observable minus `center`, via integer counts.
 
     Step n of a `floors`-floor suspension orbit sits on floor (start_floor + n) % floors
     and reads word position (start_floor + n) // floors.  `word` is a str or an
-    `OrbitWord`; `mu` holds mu(0..horizon), or is None to sieve it segment by
-    segment.  The partial sum splits into an integer hit sum and the Mertens
-    sum, carried across segments and combined exactly at grid points only."""
+    `OrbitWord`; mu(n) is sieved segment by segment alongside.  The partial
+    sum splits into an integer hit sum and the Mertens sum, carried across
+    segments and combined exactly at grid points only."""
     _check_word(cylinder)
     center = Fraction(center)
     reach = _orbit_reach(floors, start_floor, horizon)
@@ -338,7 +307,7 @@ def cylinder_sarnak_averages(word, cylinder, center, mu, horizon, floors=1, star
         raise RangeError("orbit word too short for the horizon and window")
     out = []
     hit_sum = mertens_sum = 0
-    for (lo, hi, pieces), signs in zip(_steps(horizon, SEGMENT), _sign_segments(mu, horizon)):
+    for (lo, hi, pieces), signs in zip(_steps(horizon, SEGMENT), _mobius_segments(horizon)):
         first = (start_floor + lo) // floors
         span = (start_floor + hi - 1) // floors - first + 1
         hits = _hit_flags(word[first : first + span + len(cylinder) - 1], cylinder, span)
@@ -395,27 +364,27 @@ def prime_power_averages(word, cylinder, center, p, q, horizon):
 # ----------------------------------------------------------------------------
 
 
-def eigen_suspension_averages(K, power, mu, horizon, start_floor=0):
+def eigen_suspension_averages(K, power, horizon, start_floor=0):
     """Mobius averages of the floor-rotation eigenfunction exp(2*pi*i*power*f/K).
 
     Step n sits on floor f = (start_floor + n) % K of the K-floor suspension
     orbit; the eigenfunction reads the floor alone, never the orbit word.
-    `mu` holds the Mobius values mu(0..horizon) (-1, 0 or 1), or is None to
-    sieve them segment by segment.  Floor f has a row holding table[f] * 1 at
-    byte 0x01 and table[f] * -1 at byte 0xff, so each step adds the product
-    acc = acc + table[f] * mu(n), in step order across segments, and float
-    sums round the same way as that per-step loop."""
+    mu(n) is sieved segment by segment.  Floor f has a row holding
+    table[f] * 1 at byte 0x01 and table[f] * -1 at byte 0xff, so each step
+    adds the product acc = acc + table[f] * mu(n), in step order across
+    segments, and float sums round the same way as that per-step loop.
+    mu(1) = 1, so the sum is complex from step 1 on."""
     _orbit_reach(K, start_floor, horizon)  # refuses a start floor outside 0..K-1
     table = [cmath.exp(2j * cmath.pi * power * f / K) for f in range(K)]
     rows = [[None, v * 1, *[None] * 253, v * -1] for v in table]  # indexed by signed byte
     out = []
     acc = 0
-    for (lo, hi, pieces), signs in zip(_steps(horizon, SEGMENT), _sign_segments(mu, horizon)):
+    for (lo, hi, pieces), signs in zip(_steps(horizon, SEGMENT), _mobius_segments(horizon)):
         for a, b, point in pieces:
             first = (start_floor + lo + a) % K
             floors = cycle(rows[first:] + rows[:first])
             seg = signs[a:b]
             acc = reduce(add, compress(map(getitem, floors, seg), seg), acc)
             if point:
-                out.append((point, _average(acc, point)))
+                out.append((point, acc / point))
     return out

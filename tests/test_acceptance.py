@@ -484,7 +484,7 @@ def test_criterion_11_mobius_suite():
     ok = all(mu[n] == _mu_by_factorization(n) for n in range(1, 100_001))
     total = mertens(mu)
     ok = ok and total == 212
-    final = eigen_suspension_averages(3, 1, mu, 10**6)[-1][1]
+    final = eigen_suspension_averages(3, 1, 10**6)[-1][1]
     ok = ok and abs(final) <= 0.01
     report(
         "criterion 11: sieve to 1e5, Mertens(1e6) = 212, periodic average",

@@ -78,10 +78,11 @@ def _block(params, n):
 
 @given(st.integers(0, 2**32 - 1), st.sampled_from((1, 2, 8)), st.data())
 @settings(max_examples=150, deadline=None)
-def test_extract_matches_block_slices(seed, memo_limit, data):
+def test_extract_matches_block_slices(seed, cap, data):
     # spacer runs up to 20 symbols long hold ranges of their own, and a tiny
-    # memo_limit keeps the prefix string to the deepest block of at most
-    # 1, 2 or 8 symbols, so every read ending beyond it descends the layout
+    # cap keeps the prefix string to the deepest block of at most 1, 2 or 8
+    # symbols, so every read ending beyond it descends the layout; extraction
+    # never reads the cap itself
     params = random_bounded_params(random.Random(seed), depth=6, max_spacer=20)
     seq = heights(params, params.depth)
     top = max(k for k in range(2, params.depth + 2) if seq.h(k) <= 20_000)
@@ -95,7 +96,7 @@ def test_extract_matches_block_slices(seed, memo_limit, data):
         lo = data.draw(st.integers(a, b))
         return lo, data.draw(st.integers(lo, b))
 
-    dag = BlockDag(params, memo_limit=memo_limit)
+    dag = BlockDag(params, cap=cap)
     ranges = [
         within(copy, copy + h),  # inside copy j of B_{n-1}
         within(copy + h, copy + h + row[j]),  # inside the spacer run after it
@@ -117,7 +118,7 @@ def test_extract_matches_block_slices(seed, memo_limit, data):
 
 
 def test_extract_matches_materialize():
-    dag = BlockDag(chacon(8), memo_limit=8)
+    dag = BlockDag(chacon(8), cap=8)
     word = BlockDag(chacon(8)).materialize(6)
     for start, length in [(1, 10), (5, 100), (300, 64), (1, len(word))]:
         assert dag.extract(6, start, length) == word[start - 1 : start - 1 + length]
@@ -182,7 +183,7 @@ def test_count_overlapping_equals_brute_force_pair_count(text, w1, w2, lag):
 
 @given(st.integers(0, 2**32 - 1), _words(1), _words(0), st.sampled_from((1, 2, 8)), st.data())
 @settings(max_examples=150, deadline=None)
-def test_count_recursion_equals_naive_scan(seed, w1, w2, memo_limit, data):
+def test_count_recursion_equals_naive_scan(seed, w1, w2, cap, data):
     # spacer runs up to 20 are both longer and shorter than twice the span
     params = random_bounded_params(random.Random(seed), depth=6, max_spacer=20)
     seq = heights(params, params.depth)
@@ -199,10 +200,10 @@ def test_count_recursion_equals_naive_scan(seed, w1, w2, memo_limit, data):
         text[i : i + len(w1)] == w1 and text[i + lag : i + lag + len(w2)] == w2
         for i in range(len(text) - span + 1)
     )
-    # memo_limit forced tiny, so the prefix string is short and counting
-    # descends the layout, with child copies both shorter and longer than
-    # twice the span
-    dag = BlockDag(params, memo_limit=memo_limit)
+    # a tiny cap keeps the prefix string short, so counting descends the
+    # layout, with child copies both shorter and longer than twice the span;
+    # an uncapped count never reads the cap itself
+    dag = BlockDag(params, cap=cap)
     assert dag._count(w1, w2, lag, stage) == expected
     if not w2:
         assert dag.count_occurrences(w1, stage) == expected
@@ -225,7 +226,7 @@ def test_count_cap_is_longest_string_built(monkeypatch):
         stage = params.depth + 1
         h = heights(params, params.depth).h(stage)
         for span in {1, 2, 5, 17, max(1, h // 5), max(1, h // 2), h}:
-            dag = BlockDag(params, memo_limit=rng.choice((1, 2, 8)))
+            dag = BlockDag(params, cap=rng.choice((1, 2, 8)))
             queries = [("0" * span, "", 0), ("0", "0", span - 1)]
             lengths.clear()
             counts = [dag._count(*q, stage) for q in queries]
@@ -459,7 +460,7 @@ def test_count_with_long_spacer_runs():
     params = ConstructionParams(
         cuts=(2, 3, 2), spacers=((5, 12), (0, 7, 9), (1, 0))
     )
-    dag = BlockDag(params, memo_limit=4)
+    dag = BlockDag(params, cap=4)
     reference = BlockDag(params).materialize(4)
     for word in ("1", "11", "11111", "0110", "1110", "011111", "101"):
         assert dag.count_occurrences(word, 4) == _windows(reference, word), word
@@ -468,7 +469,7 @@ def test_count_with_long_spacer_runs():
 def test_count_word_spanning_many_children():
     # h_2 = 2 with single-symbol children: words span several junctions
     params = ConstructionParams(cuts=(2, 2, 2, 2), spacers=((0, 0), (1, 0), (0, 1), (1, 1)))
-    dag = BlockDag(params, memo_limit=2)
+    dag = BlockDag(params, cap=2)
     reference = BlockDag(params).materialize(5)
     for word in ("0010", "00100", "010010", "0000", "1001"):
         assert dag.count_occurrences(word, 5) == _windows(reference, word), word

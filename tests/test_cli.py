@@ -56,7 +56,7 @@ def test_blocks_and_freq(tmp_path, capsys):
         assert read_csv(tmp_path / "freq.csv")[1] == ["00", "5", "40", "120", "1/3"]
 
 
-def test_freq_maxlen_stops_at_the_block_and_the_cap(tmp_path):
+def test_freq_maxlen_stops_at_the_block_and_the_cap(tmp_path, capsys):
     # B_2 has 4 symbols: --maxlen 18 writes the 30 words of lengths 1..4, as --maxlen 4 does
     freq = ["freq", "--config", "chacon:depth=12", "--stage", "2"]
     for maxlen in ("4", "18"):
@@ -70,6 +70,15 @@ def test_freq_maxlen_stops_at_the_block_and_the_cap(tmp_path):
             "--out", str(tmp_path)]
     assert main(freq + ["--cap", "98"]) == 0
     assert main(freq + ["--cap", "97"]) == 3
+    # past the cap's bit length that total is never formed: at maxlen 15000
+    # its digits exceed Python's int-to-str limit, and at 2e9 forming it takes seconds
+    capsys.readouterr()
+    for maxlen in ("15000", "2000000000"):
+        start = time.perf_counter()
+        assert main(["freq", "--config", "chacon:depth=60", "--stage", "60", "--maxlen", maxlen,
+                     "--out", str(tmp_path)]) == 3
+        assert time.perf_counter() - start < 5
+        assert capsys.readouterr().err.startswith(f"refused: the words of lengths 1..{maxlen} ")
 
 
 def test_json_tables_match_csv(tmp_path):
@@ -105,6 +114,31 @@ def test_certify_csv(tmp_path):
     rows = read_csv(tmp_path / "certify.csv")
     assert rows[0] == ["j1", "j2", "verdict", "witness", "depth", "tail_bound"]
     assert {r[2] for r in rows[1:]} == {"DISJOINT"}
+
+
+def test_certify_all_tail_law_stays_inconclusive(tmp_path, capsys):
+    # the window's difference gcd is 2, but at depth 1 the law of the cube
+    # enumerates no mass: there is no support element to anchor a coset at
+    config = tmp_path / "gcd2.json"
+    config.write_text(json.dumps({"family": "custom", "cuts": [3], "spacers": [[0, 2, 0]],
+                                  "depth": 30}))
+    argv = ["certify", "--config", str(config), "--pairs", "1:3", "--depth", "1"]
+    assert main(argv + ["--out", str(tmp_path / "shallow")]) == 0
+    assert capsys.readouterr().out == "(1,3) INCONCLUSIVE\n"
+    # deep enough, the law has mass and the certificate goes through
+    argv[-1] = "4"
+    assert main(argv + ["--out", str(tmp_path / "deep")]) == 0
+    assert capsys.readouterr().out == "(1,3) DISJOINT\n"
+
+
+def test_verify_pj_all_tail_law_is_refused(tmp_path, capsys):
+    # at depth 1 the law of the 3-fold sum at stage 2 is all tail: no
+    # prediction can be weighted, and the refusal names --depth
+    argv = ["verify-pj", "--config", "chacon:depth=30", "-n", "2", "-j", "3", "--depth", "1",
+            "--out", str(tmp_path)]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("refused: ") and "--depth" in err
 
 
 def test_pj_profile_json_config(tmp_path):
@@ -548,6 +582,8 @@ OBSERVABLE = st.sampled_from(["cyl:0", "cyl:01", "cyl:", "cyl:2", "eigen:1", "ei
                               "eigen:", "eigen:x", "sin:1"])
 TWO = st.lists(SMALL, min_size=2, max_size=2)
 FLAG = st.just([])  # a bare flag takes no value
+# large powers spread the law past a shallow depth's enumeration: all tail
+POWER = _ints(-1, 3) | _ints(4, 200)
 JUNK = st.sampled_from(["x", "", "1/2", "0:1", "1..3", "2.5", "-0", "1e3"])
 
 # every construction has depth <= 8, and every count is bounded by the
@@ -561,10 +597,10 @@ ORBIT = {"--N": _ints(-2, 300), "--stage": SMALL, "--offset": SMALL}
 FUZZ_COMMANDS = {
     "heights": ({"-n": SMALL}, {}),
     "blocks": ({"--stage": SMALL}, {"--start": SMALL, "--length": _ints(-2, 2000)}),
-    "freq": ({"--stage": SMALL}, {"--words": WORDS, "--maxlen": _ints(-2, 4)}),
+    "freq": ({"--stage": SMALL}, {"--words": WORDS, "--maxlen": _ints(-2, 4) | _ints(5, 20_000)}),
     "cocycle": ({"-n": SMALL}, {"-j": _ints(-1, 3), "--depth": _ints(-1, 6),
                                 "--method": st.sampled_from(["convolution", "enumerate"])}),
-    "pj": ({}, {"-j": _ints(-1, 3), "--depth": _ints(-1, 8), "--close-tail": FLAG}),
+    "pj": ({}, {"-j": POWER, "--depth": _ints(-1, 8), "--close-tail": FLAG}),
     "profile": ({}, {"--window": TWO, "--range": TWO}),
     "certify": ({}, {"--pairs": st.sampled_from(["1..3", "1:2", "2:2", "1:0", "3..1"]),
                      "--depth": _ints(-1, 8)}),
@@ -573,7 +609,7 @@ FUZZ_COMMANDS = {
     "correlate": ({"--stage": SMALL, "--w1": WORDS, "--w2": WORDS, "--lag": _ints(-2, 300)},
                   {"--method": st.sampled_from(["exact", "sampled"]),
                    "--samples": _ints(-1, 50), "--seed": SMALL}),
-    "verify-pj": ({"-n": SMALL}, {"-j": _ints(-1, 3), "--cylinders": PAIRS,
+    "verify-pj": ({"-n": SMALL}, {"-j": POWER, "--cylinders": PAIRS,
                                   "--depth": _ints(-1, 6), "--scan-stage": SMALL}),
     "rigid-chacon": ({"--alpha": RATIONAL, "-n": SMALL},
                      {"--cylinders": PAIRS, "--scan-stage": SMALL,

@@ -143,7 +143,7 @@ def _branches(dag, w1, w2, lag, stage, samples, seed):
     }
 
 
-# spacer runs of 2 and 3 symbols at every stage; memo_limit 8 leaves them to the descent
+# spacer runs of 2 and 3 symbols at every stage; cap 8 leaves them to the descent
 LONG_RUNS = ConstructionParams((3,) * 10, ((0, 2, 3),) * 10)
 
 
@@ -151,7 +151,7 @@ LONG_RUNS = ConstructionParams((3,) * 10, ((0, 2, 3),) * 10)
     "params, dag_kwargs, w1, w2, lag, stage, samples, seed, branch",
     [
         (chacon(30), {}, "0", "0", 40, 15, 3000, 1, "prefix"),
-        (LONG_RUNS, {"memo_limit": 8}, "1", "11", 1, 11, 3000, 2, "spacer"),
+        (LONG_RUNS, {"cap": 8}, "1", "11", 1, 11, 3000, 2, "spacer"),
         (katok(cuts=(100, 10000)), {}, "0", "1", 26, 3, 3000, 1, "straddle"),
         (chacon(30), {}, "0", "01", 100_000, 31, 500, 7, "straddle"),
         (chacon(30), {}, "0", "01", 0, 20, 3000, 3, "prefix"),
