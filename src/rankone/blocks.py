@@ -80,10 +80,10 @@ class BlockDag:
     joins its row's pieces, cut down to their edges, into one seam string.
 
     Every block begins with the block before it, so B_1, B_2, ... are
-    prefixes of one limit word.  `__init__` also builds `_prefix`, the
-    deepest block of at most min(PREFIX_LIMIT, cap) symbols; any range of any
-    block that ends within it is a slice of it, and descents stop there.
-    Queries are deterministic and cache nothing else.
+    prefixes of one limit word.  `_prefix` is the deepest block of at most
+    PREFIX_LIMIT symbols whatever the cap; reads (`_locate`, `_extract`, the
+    sampler) slice it for ranges ending within it; counts skip it.  Nothing
+    else is cached.
 
     The cap bounds every string built for a caller, and `check_cap` is its
     one check: a materialized block, a range the CLI prints, a period prefix
@@ -99,9 +99,8 @@ class BlockDag:
             for h, row in zip(self._heights[1:], params.spacers)
         )
         prefix = "0"  # B_1: every descent ends by then
-        limit = min(PREFIX_LIMIT, cap)
         for h, row in zip(self._heights[2:], params.spacers):
-            if h > limit:
+            if h > PREFIX_LIMIT:
                 break
             prefix = "".join(prefix + "1" * s for s in row)
         self._prefix = prefix
@@ -226,21 +225,22 @@ class BlockDag:
         Each stage counts the windows on the seam string of B_n's row, where a
         piece longer than 2m (m = span - 1) keeps its first and last m symbols
         around a "#" no word matches, and leaves the rest to its copies of
-        B_{n-1}.  `capped` checks each string against the cap before building it."""
+        B_{n-1}, down to a block of at most 2 * span symbols, scanned whole.
+        Reads stay inside B_{n-1} or B_n, so go unchecked; `capped` checks each string."""
         span = max(len(w1), lag + len(w2))
         m = span - 1
         total = 0
         copies = 1
-        while self._heights[n] > max(len(self._prefix), 2 * span):
+        while self._heights[n] > 2 * span:
             h = self._heights[n - 1]
             row = self._layout[n][1]
             if capped:
                 self.check_cap(sum(min(h, 2 * m + 1) + min(s, 2 * m + 1) for s in row))
             run = "1" * m + "#" + "1" * m
             if h > 2 * m:
-                child = self.extract(n - 1, 1, m) + "#" + self.extract(n - 1, h - m + 1, m)
+                child = self._extract(n - 1, 0, m) + "#" + self._extract(n - 1, h - m, h)
             else:
-                child = self.extract(n - 1, 1, h)
+                child = self._extract(n - 1, 0, h)
             seams = "".join(child + (run if s > 2 * m else "1" * s) for s in row)
             if not w2:
                 hits = count_overlapping(seams, w1)
@@ -256,7 +256,7 @@ class BlockDag:
             n -= 1
         if capped:
             self.check_cap(self._heights[n])
-        return total + copies * count_overlapping(self.extract(n, 1, self._heights[n]), w1, w2, lag)
+        return total + copies * count_overlapping(self._extract(n, 0, self._heights[n]), w1, w2, lag)
 
     def frequency(self, word, n):
         """Exact frequency of `word` among the h_n - |W| + 1 windows of B_n."""

@@ -124,19 +124,23 @@ def _word_margin(pairs, extra):
     return max(max(len(a), len(b)) for a, b in pairs) + extra
 
 
-def _scan_stage_for(dag, lag, margin, requested=None):
-    # prefer blocks several lags deep: a shallow scan window covers only the
-    # first columns of the period and biases the column statistics
+def _scan_stage_for(dag, lag, margin, requested=None, deepest=False):
+    """`requested` if its block holds lag + margin symbols; otherwise the
+    shallowest materializable block holding 4 * lag + margin (skipped when
+    `deepest`), else the deepest one if it holds lag + margin."""
     if requested is not None:
         if dag.height(requested) < lag + margin:
             raise RangeError(f"stage {requested} too shallow for lag {lag}")
         return requested
-    for n in range(1, dag.max_stage + 1):
-        if 4 * lag + margin <= dag.height(n) <= dag.cap:
-            return n
-    deepest = dag.deepest_materializable()
-    if deepest is not None and dag.height(deepest) >= lag + margin:
-        return deepest
+    # prefer blocks several lags deep: a shallow scan window covers only the
+    # first columns of the period and biases the column statistics
+    if not deepest:
+        for n in range(1, dag.max_stage + 1):
+            if 4 * lag + margin <= dag.height(n) <= dag.cap:
+                return n
+    stage = dag.deepest_materializable()
+    if stage is not None and dag.height(stage) >= lag + margin:
+        return stage
     raise Refusal(f"no materializable stage fits lag {lag}")
 
 
@@ -255,10 +259,7 @@ def verify_half_spacer_mixing(
     ratios = [Fraction(params.cut(k), dag.height(k)) for k in range(1, params.depth + 1)]
     growing = all(a < b for a, b in zip(ratios, ratios[1:]))
     lag = shift_count * h
-    # the deepest materializable block, not _scan_stage_for's shallowest fit
-    scan = dag.deepest_materializable() if scan_stage is None else scan_stage
-    if scan is None or dag.height(scan) < lag + _word_margin(pairs, 2):
-        raise Refusal(f"no materializable stage fits lag {lag}")
+    scan = _scan_stage_for(dag, lag, _word_margin(pairs, 2), scan_stage, deepest=True)
     rows = []
     for w1, w2 in pairs:
         freq1 = dag.frequency(w1, scan).frequency

@@ -409,6 +409,8 @@ def eigenvalue_search(params, max_order, stage_range):
             "eigenvalue search by level constancy is unsound for unbounded "
             "cut schedules; supply a bounded construction"
         )
+    if max_order < 2:  # orders start at 2: below, none is searched
+        raise InputError(f"max order {max_order} is below 2, the least eigenvalue order")
     n0, n1 = stage_range
     if not 1 <= n0 <= n1 <= params.depth:
         raise RangeError("stage range outside the prefix")
@@ -437,6 +439,8 @@ def classify(params, stage_range=None, max_order=12):
     the prefix only."""
     if params.unbounded:
         raise Refusal("classification needs bounded parameters")
+    if max_order < 2:  # orders start at 2: below, none is searched
+        raise InputError(f"max order {max_order} is below 2, the least eigenvalue order")
     if stage_range is None:
         stage_range = (1, params.depth - 1)
     n0, n1 = stage_range

@@ -2,12 +2,15 @@ import random
 import sys
 from fractions import Fraction
 from itertools import accumulate
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rankone import blocks
 from rankone.blocks import (
+    DEFAULT_CAP,
     BlockDag,
     abc_decompose,
     abc_threshold,
@@ -78,11 +81,11 @@ def _block(params, n):
 
 @given(st.integers(0, 2**32 - 1), st.sampled_from((1, 2, 8)), st.data())
 @settings(max_examples=150, deadline=None)
-def test_extract_matches_block_slices(seed, cap, data):
+def test_extract_matches_block_slices(seed, limit, data):
     # spacer runs up to 20 symbols long hold ranges of their own, and a tiny
-    # cap keeps the prefix string to the deepest block of at most 1, 2 or 8
-    # symbols, so every read ending beyond it descends the layout; extraction
-    # never reads the cap itself
+    # PREFIX_LIMIT keeps the prefix string to the deepest block of at most 1,
+    # 2 or 8 symbols, so every read ending beyond it descends the layout; a
+    # cap as tiny stops no read, since extraction never reads the cap itself
     params = random_bounded_params(random.Random(seed), depth=6, max_spacer=20)
     seq = heights(params, params.depth)
     top = max(k for k in range(2, params.depth + 2) if seq.h(k) <= 20_000)
@@ -96,7 +99,8 @@ def test_extract_matches_block_slices(seed, cap, data):
         lo = data.draw(st.integers(a, b))
         return lo, data.draw(st.integers(lo, b))
 
-    dag = BlockDag(params, cap=cap)
+    with patch.object(blocks, "PREFIX_LIMIT", limit):
+        dag = BlockDag(params, cap=limit)
     ranges = [
         within(copy, copy + h),  # inside copy j of B_{n-1}
         within(copy + h, copy + h + row[j]),  # inside the spacer run after it
@@ -118,7 +122,8 @@ def test_extract_matches_block_slices(seed, cap, data):
 
 
 def test_extract_matches_materialize():
-    dag = BlockDag(chacon(8), cap=8)
+    with patch.object(blocks, "PREFIX_LIMIT", 8):  # reads past B_2 descend
+        dag = BlockDag(chacon(8), cap=8)
     word = BlockDag(chacon(8)).materialize(6)
     for start, length in [(1, 10), (5, 100), (300, 64), (1, len(word))]:
         assert dag.extract(6, start, length) == word[start - 1 : start - 1 + length]
@@ -183,7 +188,7 @@ def test_count_overlapping_equals_brute_force_pair_count(text, w1, w2, lag):
 
 @given(st.integers(0, 2**32 - 1), _words(1), _words(0), st.sampled_from((1, 2, 8)), st.data())
 @settings(max_examples=150, deadline=None)
-def test_count_recursion_equals_naive_scan(seed, w1, w2, cap, data):
+def test_count_recursion_equals_naive_scan(seed, w1, w2, limit, data):
     # spacer runs up to 20 are both longer and shorter than twice the span
     params = random_bounded_params(random.Random(seed), depth=6, max_spacer=20)
     seq = heights(params, params.depth)
@@ -200,10 +205,12 @@ def test_count_recursion_equals_naive_scan(seed, w1, w2, cap, data):
         text[i : i + len(w1)] == w1 and text[i + lag : i + lag + len(w2)] == w2
         for i in range(len(text) - span + 1)
     )
-    # a tiny cap keeps the prefix string short, so counting descends the
-    # layout, with child copies both shorter and longer than twice the span;
-    # an uncapped count never reads the cap itself
-    dag = BlockDag(params, cap=cap)
+    # counting descends the layout to its span, with child copies both
+    # shorter and longer than twice the span; a tiny PREFIX_LIMIT makes its
+    # reads of seam edges and of the base block descend too, and an uncapped
+    # count never reads a cap as tiny
+    with patch.object(blocks, "PREFIX_LIMIT", limit):
+        dag = BlockDag(params, cap=limit)
     assert dag._count(w1, w2, lag, stage) == expected
     if not w2:
         assert dag.count_occurrences(w1, stage) == expected
@@ -238,6 +245,37 @@ def test_count_cap_is_longest_string_built(monkeypatch):
             for q in queries:
                 with pytest.raises(Refusal):
                     dag._count(*q, stage, capped=True)
+
+
+def test_count_is_independent_of_the_cap_and_the_prefix(monkeypatch):
+    # counting walks the layout down to the span of its words, whatever the
+    # cap and the prefix string: each (cap, PREFIX_LIMIT) passes the same
+    # strings to count_overlapping and returns the same counts
+    texts = []
+
+    def record(text, w1, w2="", lag=0):
+        texts.append(text)
+        return count_overlapping(text, w1, w2, lag)
+
+    monkeypatch.setattr("rankone.blocks.count_overlapping", record)
+    rng = random.Random(3)
+    cases = [(chacon(30), 31), (katok(cuts=(100, 10000)), 3)] + [
+        (params, params.depth + 1)
+        for params in (random_bounded_params(rng, depth=10, max_spacer=20) for _ in range(4))]
+    queries = [("0", "", 0), ("0010", "", 0), ("1", "", 0), ("0", "0", 40), ("01", "10", 1000),
+               ("1", "11", 3)]
+    for params, stage in cases:
+        runs = set()
+        for cap in (1, 8, DEFAULT_CAP):
+            for limit in (1, 8, 1 << 17):
+                with patch.object(blocks, "PREFIX_LIMIT", limit):
+                    dag = BlockDag(params, cap=cap)
+                texts.clear()
+                counts = tuple(dag._count(*q, stage) for q in queries)
+                runs.add((tuple(texts), counts))
+        assert len(runs) == 1
+        # the prefix string depends on PREFIX_LIMIT alone
+        assert len({BlockDag(params, cap=cap)._prefix for cap in (1, 8, DEFAULT_CAP)}) == 1
 
 
 def test_frequency_closed_form_chacon():
@@ -460,7 +498,8 @@ def test_count_with_long_spacer_runs():
     params = ConstructionParams(
         cuts=(2, 3, 2), spacers=((5, 12), (0, 7, 9), (1, 0))
     )
-    dag = BlockDag(params, cap=4)
+    with patch.object(blocks, "PREFIX_LIMIT", 4):  # reads past B_1 descend
+        dag = BlockDag(params)
     reference = BlockDag(params).materialize(4)
     for word in ("1", "11", "11111", "0110", "1110", "011111", "101"):
         assert dag.count_occurrences(word, 4) == _windows(reference, word), word
@@ -469,7 +508,8 @@ def test_count_with_long_spacer_runs():
 def test_count_word_spanning_many_children():
     # h_2 = 2 with single-symbol children: words span several junctions
     params = ConstructionParams(cuts=(2, 2, 2, 2), spacers=((0, 0), (1, 0), (0, 1), (1, 1)))
-    dag = BlockDag(params, cap=2)
+    with patch.object(blocks, "PREFIX_LIMIT", 2):  # reads past B_2 descend
+        dag = BlockDag(params)
     reference = BlockDag(params).materialize(5)
     for word in ("0010", "00100", "010010", "0000", "1001"):
         assert dag.count_occurrences(word, 5) == _windows(reference, word), word

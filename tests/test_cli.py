@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import rankone
-from rankone.blocks import BlockDag
+from rankone.blocks import BlockDag, cylinder_words
 from rankone.cli import REPORT_HEADER, main, replay_manifest, run_argv
 from rankone.construction import load_construction
 from rankone.correlations import verify_rigid_one_spacer, verify_weak_limit_prediction
@@ -79,6 +79,29 @@ def test_freq_maxlen_stops_at_the_block_and_the_cap(tmp_path, capsys):
                      "--out", str(tmp_path)]) == 3
         assert time.perf_counter() - start < 5
         assert capsys.readouterr().err.startswith(f"refused: the words of lengths 1..{maxlen} ")
+
+
+@pytest.mark.parametrize("config, stage", [
+    ("chacon:depth=12", 4), ("vnk:depth=8", 6), ("katok:depth=4", 3),
+    ("generalized_chacon:depth=8", 4)])
+def test_freq_maxlen_table_equals_per_word_frequencies(tmp_path, config, stage):
+    # words whose prefix one symbol shorter counts 0 are written without a
+    # descent: every row must still be the word's own dag.frequency.  Short
+    # blocks hold words that occur once, next to words that occur nowhere
+    maxlen = 8
+    code, _ = run(["freq", "--config", config, "--stage", str(stage), "--maxlen", str(maxlen)],
+                  tmp_path)
+    assert code == 0
+    dag = BlockDag(load_construction(config))
+    expected = []
+    for w in cylinder_words(2 ** (maxlen + 1) - 2):
+        est = dag.frequency(w, stage)
+        f = est.frequency
+        expected.append([w, str(stage), str(est.count), str(est.denominator),
+                         f"{f.numerator}/{f.denominator}"])
+    rows = read_csv(tmp_path / "freq.csv")
+    assert rows[1:] == expected
+    assert any(row[2] == "0" for row in rows[1:])
 
 
 def test_json_tables_match_csv(tmp_path):
@@ -443,6 +466,10 @@ MALFORMED_DOCS = {
     "list-generator.json": {"family": "chacon", "depth": 3, "generator": [1]},
     "str-generator.json": {"family": "custom", "cuts": [2], "spacers": [[0, 0]],
                            "generator": "x"},
+    # valid documents, for argvs whose fault lies in an option
+    "katok.json": {"family": "katok", "cuts": [100, 10000]},
+    "eigen-2-3-6.json": {"family": "custom", "depth": 12, "cuts": [3], "spacers": [[1, 1, 0]],
+                         "generator": {"rule": "periodic"}},
     **{
         f"spacer-index-{name}.json": {"family": "generalized_chacon", "depth": 3,
                                       "generator": {"spacer_index": idx}}
@@ -469,6 +496,9 @@ MALFORMED_MESSAGES = {
     "profile-default-range-empty": "empty search range [3, -3]",
     "certify-prefix-too-short": "empty search range [5, 3]",
     "pj-prefix-too-short": "empty search range [5, 3]",
+    "katok-scan-stage-too-shallow": "stage 1 too shallow for lag 26",
+    "classify-max-order-1": "max order 1 is below 2",
+    "eigen-max-order-1": "max order 1 is below 2",
 }
 
 
@@ -539,6 +569,12 @@ MALFORMED_MESSAGES = {
         # auto-derived profiles search (5, depth - depth_needed - 1): empty for depth 10
         ["certify", "--config", "chacon:depth=10", "--pairs", "1..3", "--depth", "6"],
         ["pj", "--config", "chacon:depth=10", "-j", "1", "--depth", "6"],
+        # a requested scan stage whose block cannot hold the lag, as verify-pj refuses it
+        ["katok", "--config", "{tmp}/katok.json", "--alpha", "1/2", "-n", "1", "--ell", "26",
+         "--scan-stage", "1"],
+        # orders start at 2: below that, classify read WEAKLY_MIXING_CANDIDATE and eigen "none"
+        ["classify", "--config", "{tmp}/eigen-2-3-6.json", "--max-order", "1"],
+        ["eigen", "--config", "{tmp}/eigen-2-3-6.json", "--max-order", "1"],
     ],
     ids=["missing-config", "bad-family-arg", "bad-pairs", "list-config", "start-0",
          "start-0-small-cap", "bad-powers",
@@ -555,7 +591,8 @@ MALFORMED_MESSAGES = {
          "cylinders-empty-second", "sarnak-splice-offset", "sarnak-center-and-value",
          "katok-not-half-spacered", "correlate-negative-seed", "katok-negative-seed",
          "profile-range-reversed", "profile-default-range-empty", "certify-prefix-too-short",
-         "pj-prefix-too-short"],
+         "pj-prefix-too-short", "katok-scan-stage-too-shallow", "classify-max-order-1",
+         "eigen-max-order-1"],
 )
 def test_malformed_input_exits_2(tmp_path, capsys, request, argv):
     for name, doc in MALFORMED_DOCS.items():

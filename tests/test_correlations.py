@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
 
-from rankone.blocks import BlockDag
+from rankone import blocks
+from rankone.blocks import PREFIX_LIMIT, BlockDag
 from rankone.construction import (
     ConstructionParams,
     chacon,
@@ -143,27 +145,29 @@ def _branches(dag, w1, w2, lag, stage, samples, seed):
     }
 
 
-# spacer runs of 2 and 3 symbols at every stage; cap 8 leaves them to the descent
+# spacer runs of 2 and 3 symbols at every stage; a PREFIX_LIMIT of 8 leaves
+# them to the descent
 LONG_RUNS = ConstructionParams((3,) * 10, ((0, 2, 3),) * 10)
 
 
 @pytest.mark.parametrize(
-    "params, dag_kwargs, w1, w2, lag, stage, samples, seed, branch",
+    "params, dag_kwargs, limit, w1, w2, lag, stage, samples, seed, branch",
     [
-        (chacon(30), {}, "0", "0", 40, 15, 3000, 1, "prefix"),
-        (LONG_RUNS, {"cap": 8}, "1", "11", 1, 11, 3000, 2, "spacer"),
-        (katok(cuts=(100, 10000)), {}, "0", "1", 26, 3, 3000, 1, "straddle"),
-        (chacon(30), {}, "0", "01", 100_000, 31, 500, 7, "straddle"),
-        (chacon(30), {}, "0", "01", 0, 20, 3000, 3, "prefix"),
-        (chacon(30), {"cap": 1000}, "01", "1", 3, 31, 2000, 5, "straddle"),
-        (chacon(30), {}, "0", "0", 40, 11, 2000, 1, "prefix"),
+        (chacon(30), {}, PREFIX_LIMIT, "0", "0", 40, 15, 3000, 1, "prefix"),
+        (LONG_RUNS, {}, 8, "1", "11", 1, 11, 3000, 2, "spacer"),
+        (katok(cuts=(100, 10000)), {}, PREFIX_LIMIT, "0", "1", 26, 3, 3000, 1, "straddle"),
+        (chacon(30), {}, PREFIX_LIMIT, "0", "01", 100_000, 31, 500, 7, "straddle"),
+        (chacon(30), {}, PREFIX_LIMIT, "0", "01", 0, 20, 3000, 3, "prefix"),
+        (chacon(30), {"cap": 1000}, 1000, "01", "1", 3, 31, 2000, 5, "straddle"),
+        (chacon(30), {}, PREFIX_LIMIT, "0", "0", 40, 11, 2000, 1, "prefix"),
     ],
     ids=["inside-prefix", "inside-spacer-run", "katok-lag-26", "span-longer-than-prefix",
          "lag-0-longer-w2", "beyond-cap", "block-is-prefix"],
 )
-def test_sampler_matches_per_sample_reference(request, params, dag_kwargs, w1, w2, lag, stage,
-                                              samples, seed, branch):
-    dag = BlockDag(params, **dag_kwargs)
+def test_sampler_matches_per_sample_reference(request, params, dag_kwargs, limit, w1, w2, lag,
+                                              stage, samples, seed, branch):
+    with patch.object(blocks, "PREFIX_LIMIT", limit):
+        dag = BlockDag(params, **dag_kwargs)
     case = request.node.callspec.id
     if case == "span-longer-than-prefix":
         assert lag > len(dag._prefix)
