@@ -3,9 +3,9 @@
 B_1 = "0" and B_{n+1} = B_n 1^{s_{n,0}} B_n 1^{s_{n,1}} ... B_n 1^{s_{n,p_n-1}},
 so |B_n| equals the tower height h_n.  Blocks beyond the materialization cap
 are handled through their recursive layout: random access, range extraction
-and exact counts of words and of word pairs at a lag all descend the layout
-instead of building the word.  Word frequencies are exact rationals
-count / (h_n - |W| + 1).
+and exact counts of words, of word pairs at a lag and of all windows of one
+length descend the layout instead of building the word.  Word frequencies are
+exact rationals count / (h_n - |W| + 1).
 
 Spacer symbols carry an order: the stage at which the run containing them was
 inserted.  The ABC decomposition below splits a window of the subshift into a
@@ -18,9 +18,10 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, islice
 
 from .construction import ConstructionParams, heights, spacer_stats
 from .errors import InputError, RangeError, Refusal
@@ -76,8 +77,10 @@ class BlockDag:
     stays inside one piece, and `segments` splits a range into pieces.
     `_extract` reads a range where `_locate` leaves it, and the sampled
     correlation serves both words of a sample by one `_locate` of their span.
-    Counts of words and word pairs read the spacer rows alone: each stage
-    joins its row's pieces, cut down to their edges, into one seam string.
+    Counts read the spacer rows alone, through one seam walker: `_seams` joins
+    each stage's row, its pieces cut down to their edges, into one seam string,
+    and both `_count` (words, word pairs) and `window_counts` (all windows of
+    one length) read what it yields.
 
     Every block begins with the block before it, so B_1, B_2, ... are
     prefixes of one limit word.  `_prefix` is the deepest block of at most
@@ -219,17 +222,16 @@ class BlockDag:
             raise RangeError(f"word longer than B_{n}")
         return self._count(word, "", 0, n)
 
-    def _count(self, w1, w2, lag, n, capped=False):
-        """Positions i with `w1` at i and `w2` at i + lag, both inside B_n.
-
-        Each stage counts the windows on the seam string of B_n's row, where a
-        piece longer than 2m (m = span - 1) keeps its first and last m symbols
-        around a "#" no word matches, and leaves the rest to its copies of
-        B_{n-1}, down to a block of at most 2 * span symbols, scanned whole.
-        Reads stay inside B_{n-1} or B_n, so go unchecked; `capped` checks each string."""
-        span = max(len(w1), lag + len(w2))
+    def _seams(self, span, n, capped=False):
+        """Yield (copies, text, ones) per stage: the windows of `span` symbols
+        in B_n are those of each `text` times its `copies`, plus `copies` *
+        `ones` all-"1" windows.  Each text joins B_n's row, a piece longer than
+        2m (m = span - 1) cut to its first and last m symbols around a "#" no
+        window matches (`ones` counts the all-"1" windows cut from spacer runs),
+        and leaves the windows inside B_{n-1} to the next stage, down to a block
+        of at most 2 * span symbols, yielded whole.  Reads stay inside B_{n-1}
+        or B_n, so go unchecked; `capped` checks each string before it is built."""
         m = span - 1
-        total = 0
         copies = 1
         while self._heights[n] > 2 * span:
             h = self._heights[n - 1]
@@ -241,22 +243,39 @@ class BlockDag:
                 child = self._extract(n - 1, 0, m) + "#" + self._extract(n - 1, h - m, h)
             else:
                 child = self._extract(n - 1, 0, h)
-            seams = "".join(child + (run if s > 2 * m else "1" * s) for s in row)
-            if not w2:
-                hits = count_overlapping(seams, w1)
-            else:
-                # the gap between the words may cover a "#": count each part alone
-                hits = sum(count_overlapping(part, w1, w2, lag) for part in seams.split("#"))
-            if "0" not in w1 + w2:
-                hits += sum(s - m for s in row if s > 2 * m)
-            total += copies * hits
+            yield (copies, "".join(child + (run if s > 2 * m else "1" * s) for s in row),
+                   sum(s - m for s in row if s > 2 * m))
             if h <= 2 * m:
-                return total
+                return
             copies *= len(row)
             n -= 1
         if capped:
             self.check_cap(self._heights[n])
-        return total + copies * count_overlapping(self._extract(n, 0, self._heights[n]), w1, w2, lag)
+        yield copies, self._extract(n, 0, self._heights[n]), 0
+
+    def _count(self, w1, w2, lag, n, capped=False):
+        """Positions i with `w1` at i and `w2` at i + lag, both inside B_n:
+        the windows of their span that `_seams` yields, each seam part counted
+        alone when the gap between the words may cover a "#"."""
+        total = 0
+        for copies, text, ones in self._seams(max(len(w1), lag + len(w2)), n, capped):
+            parts = text.split("#") if w2 else [text]
+            hits = sum(count_overlapping(part, w1, w2, lag) for part in parts)
+            total += copies * (hits + (ones if "0" not in w1 + w2 else 0))
+        return total
+
+    def window_counts(self, k, n):
+        """`Counter` of the windows of length k in B_n, from the `_seams` walk
+        that `_count` reads: no zero entries, and the counts sum to h_n - k + 1."""
+        if not 1 <= k <= self.height(n):
+            raise RangeError(f"window length {k} outside 1..h_{n}")
+        counts = Counter()
+        for copies, text, ones in self._seams(k, n):
+            found = Counter(part[i:i + k] for part in text.split("#")
+                            for i in range(len(part) - k + 1))
+            found["1" * k] += ones
+            counts.update({word: copies * c for word, c in found.items()})
+        return +counts  # drops a zero all-"1" entry
 
     def frequency(self, word, n):
         """Exact frequency of `word` among the h_n - |W| + 1 windows of B_n."""
@@ -272,15 +291,8 @@ class BlockDag:
 
 def cylinder_words(count):
     """Canonical enumeration: words of length L at position 0, by L then lexicographic."""
-    words = []
-    length = 1
-    while len(words) < count:
-        for i in range(2 ** length):
-            words.append(format(i, f"0{length}b"))
-            if len(words) == count:
-                return words
-        length += 1
-    return words
+    words = (format(i, f"0{k}b") for k in range(1, count + 1) for i in range(2 ** k))
+    return list(islice(words, count))
 
 
 def empirical_cylinder_map(dag, stage):

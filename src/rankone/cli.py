@@ -20,7 +20,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .blocks import DEFAULT_CAP, BlockDag, CylinderMeasureEstimate, cylinder_words
+from .blocks import DEFAULT_CAP, BlockDag
 from .construction import heights, load_construction, read_config
 from .correlations import (
     correlation,
@@ -236,6 +236,7 @@ def cmd_freq(run):
         if run.args.maxlen is not None:
             raise InputError("--words and --maxlen are mutually exclusive")
         estimates = [dag.frequency(w, stage) for w in run.args.words.split(",")]
+        rows = [(e.word, e.stage, e.count, e.denominator, _rat(e.frequency)) for e in estimates]
     else:
         maxlen = 3 if run.args.maxlen is None else run.args.maxlen
         if maxlen < 1:
@@ -248,18 +249,11 @@ def cmd_freq(run):
         if maxlen > dag.cap.bit_length() or (maxlen - 1) * 2 ** (maxlen + 1) + 2 > dag.cap:
             raise Refusal(f"the words of lengths 1..{maxlen} hold more symbols in all than "
                           f"the materialization cap {dag.cap}; lower --maxlen or raise --cap")
-        # every window holding a word holds its prefix one symbol shorter: a
-        # word whose prefix counted 0 counts 0 without a descent
-        h, estimates, absent = dag.height(stage), [], set()
-        for w in cylinder_words(2 ** (maxlen + 1) - 2):
-            if w[:-1] in absent:
-                est = CylinderMeasureEstimate(w, stage, 0, h - len(w) + 1, Fraction(0))
-            else:
-                est = dag.frequency(w, stage)
-            if not est.count:
-                absent.add(w)
-            estimates.append(est)
-    rows = [(e.word, e.stage, e.count, e.denominator, _rat(e.frequency)) for e in estimates]
+        # one window table per length; the rows stream in `cylinder_words` order
+        h = dag.height(stage)
+        rows = ((w, stage, counts[w], h - k + 1, _rat(Fraction(counts[w], h - k + 1)))
+                for k in range(1, maxlen + 1) for counts in [dag.window_counts(k, stage)]
+                for w in (format(i, f"0{k}b") for i in range(2 ** k)))
     run.write_csv("freq.csv", ["word", "stage", "count", "denominator", "frequency"], rows)
     return 0
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 from .construction import json_ints
 from .construction import heights as _heights
@@ -419,7 +419,9 @@ def eigenvalue_search(params, max_order, stage_range):
     for n in range(n0, n1 + 1):
         for s in params.spacer_row(n)[: params.cut(n) - 1]:
             g = gcd(g, seq.h(n) + s)
-    return tuple(k for k in range(2, max_order + 1) if g % k == 0)
+    # the orders are divisors of g, found in pairs (d, g // d) with d <= sqrt(g)
+    pairs = ((d, g // d) for d in range(1, min(isqrt(g), max_order) + 1) if g % d == 0)
+    return tuple(sorted({k for pair in pairs for k in pair if 2 <= k <= max_order}))
 
 
 @dataclass(frozen=True)

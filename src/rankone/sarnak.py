@@ -219,9 +219,9 @@ class OrbitWord:
         return self.length
 
     def __getitem__(self, key):
-        lo, hi, step = key.indices(self.length)
-        if step != 1:
+        if not isinstance(key, slice) or key.step not in (None, 1):
             raise InputError("an orbit word is read in contiguous slices only")
+        lo, hi, _ = key.indices(self.length)
         return "".join(
             "1" * (b - a) if shift is None else self.dag._extract(self.stage, a + shift, b + shift)
             for start, end, shift in self.pieces

@@ -1,5 +1,6 @@
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import accumulate
 from unittest.mock import patch
@@ -276,6 +277,40 @@ def test_count_is_independent_of_the_cap_and_the_prefix(monkeypatch):
         assert len(runs) == 1
         # the prefix string depends on PREFIX_LIMIT alone
         assert len({BlockDag(params, cap=cap)._prefix for cap in (1, 8, DEFAULT_CAP)}) == 1
+
+
+@pytest.mark.parametrize("params", [
+    chacon(8), von_neumann_kakutani(10), katok(cuts=(4, 8, 16)), generalized_chacon(5),
+    random_bounded_params(random.Random(5), depth=5, max_spacer=20)])
+def test_window_counts_equal_the_slices_of_the_block(params):
+    # one seam walk counts every window of length k, whatever the cap: the
+    # table is the Counter of the slices of the block, with no zero entries,
+    # and the counts of each length sum to h - k + 1
+    oracle = BlockDag(params)
+    for n in range(1, oracle.max_stage + 1):
+        block = oracle.materialize(n)
+        for k in (1, 2, 3, 5, 9, 17):
+            if k > len(block):
+                continue
+            brute = Counter(block[i:i + k] for i in range(len(block) - k + 1))
+            for cap in (1, 8, 10 ** 7):
+                counts = BlockDag(params, cap=cap).window_counts(k, n)
+                assert dict(counts) == dict(brute)
+                assert sum(counts.values()) == len(block) - k + 1
+    for k in (0, oracle.height(2) + 1):
+        with pytest.raises(RangeError):
+            oracle.window_counts(k, 2)
+
+
+def test_window_counts_give_chacon_complexity():
+    # Chacon's sequence has 2k - 1 distinct windows of each length k >= 2
+    # (Ferenczi, Bull. SMF 123, 1995), all of them in B_31 (h about 3.1e14)
+    dag = BlockDag(chacon(30))
+    h = dag.height(31)
+    for k in range(1, 25):
+        counts = dag.window_counts(k, 31)
+        assert len(counts) == (2 if k == 1 else 2 * k - 1)
+        assert sum(counts.values()) == h - k + 1
 
 
 def test_frequency_closed_form_chacon():

@@ -83,14 +83,18 @@ def test_freq_maxlen_stops_at_the_block_and_the_cap(tmp_path, capsys):
 
 @pytest.mark.parametrize("config, stage", [
     ("chacon:depth=12", 4), ("vnk:depth=8", 6), ("katok:depth=4", 3),
-    ("generalized_chacon:depth=8", 4)])
-def test_freq_maxlen_table_equals_per_word_frequencies(tmp_path, config, stage):
-    # words whose prefix one symbol shorter counts 0 are written without a
-    # descent: every row must still be the word's own dag.frequency.  Short
-    # blocks hold words that occur once, next to words that occur nowhere
+    ("generalized_chacon:depth=8", 4), ("chacon:depth=30", 31)])
+def test_freq_maxlen_table_equals_per_word_frequencies(tmp_path, monkeypatch, config, stage):
+    # the rows come from one window table per length, with no per-word
+    # descent: every row, zeros included, must still be the word's own
+    # dag.frequency.  Short blocks hold words that occur once, next to words
+    # that occur nowhere; B_31 of chacon holds about 3.1e14 symbols
     maxlen = 8
-    code, _ = run(["freq", "--config", config, "--stage", str(stage), "--maxlen", str(maxlen)],
-                  tmp_path)
+    with monkeypatch.context() as patch:
+        for name in ("frequency", "count_occurrences", "_count"):
+            patch.setattr(BlockDag, name, None)
+        code, _ = run(["freq", "--config", config, "--stage", str(stage), "--maxlen", str(maxlen)],
+                      tmp_path)
     assert code == 0
     dag = BlockDag(load_construction(config))
     expected = []
@@ -205,6 +209,12 @@ def test_classify_and_eigen(tmp_path, capsys):
     code, _ = run(["eigen", "--config", "vnk:depth=12", "--range", "3", "10"], tmp_path)
     rows = read_csv(tmp_path / "eigen.csv")
     assert rows[1:] == [["2"], ["4"]]
+    # the orders are divisor pairs of g: an order bound of 1e8 costs no
+    # trial of each k up to it
+    start = time.perf_counter()
+    code, _ = run(["eigen", "--config", "vnk:depth=12", "--max-order", "100000000"], tmp_path)
+    assert time.perf_counter() - start < 1
+    assert code == 0 and read_csv(tmp_path / "eigen.csv")[1:] == [["2"]]
 
 
 def test_correlate_exact_and_sampled(tmp_path):

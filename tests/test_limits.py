@@ -2,7 +2,7 @@ import json
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 
@@ -246,6 +246,30 @@ def test_eigenvalue_search_examples():
     assert eigenvalue_search(chacon(20), 12, (3, 20)) == ()
     zs = ConstructionParams(cuts=(2,) * 12, spacers=((0, 0),) * 12)
     assert eigenvalue_search(zs, 12, (3, 10)) == (2, 4)
+
+
+def test_eigenvalue_search_equals_the_brute_force_filter():
+    # the orders are found as divisor pairs (d, g // d) with d <= sqrt(g): the
+    # tuple must equal the filter over every k in 2..max_order.  Rows of one
+    # spacer value make g large, with square and prime-power factors
+    rng = random.Random(22)
+    for _ in range(80):
+        cuts = tuple(rng.randint(2, 4) for _ in range(rng.randint(2, 7)))
+        spacers = tuple((rng.randint(0, 3),) * p if rng.random() < 0.7
+                        else tuple(rng.randint(0, 3) for _ in range(p)) for p in cuts)
+        params = ConstructionParams(cuts, spacers)
+        n0 = rng.randint(1, params.depth)
+        n1 = rng.randint(n0, params.depth)
+        seq = heights(params, n1)
+        terms = [seq.h(n) + s for n in range(n0, n1 + 1) for s in params.spacer_row(n)[:-1]]
+        g = 0
+        for t in terms:
+            g = gcd(g, t)
+        for max_order in {2, 3, 12, 1000, g - 1, g, g + 1, max(2, isqrt(g)), isqrt(g) + 1}:
+            if max_order < 2:
+                continue
+            brute = tuple(k for k in range(2, max_order + 1) if all(t % k == 0 for t in terms))
+            assert eigenvalue_search(params, max_order, (n0, n1)) == brute
 
 
 def test_unbounded_refusals():

@@ -486,8 +486,9 @@ def test_orbit_word_plain_and_spliced():
         for lo in range(length + 1):
             for hi in range(lo, length + 1):
                 assert lazy[lo:hi] == word[lo:hi]
-    with pytest.raises(InputError):
-        lazy[::2]
+    for key in (slice(None, None, 2), slice(None, None, -1), 3, -1, (0, 1)):
+        with pytest.raises(InputError):
+            lazy[key]
 
 
 def test_orbit_word_range_errors():
