@@ -31,7 +31,7 @@ PREFIX_LIMIT = 1 << 17
 
 
 def _check_word(word):
-    if not word or any(ch not in "01" for ch in word):
+    if not isinstance(word, str) or not word or word.strip("01"):
         raise InputError("words must be non-empty strings over {0,1}")
 
 

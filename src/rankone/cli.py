@@ -18,6 +18,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from itertools import islice
 
 from . import __version__
 from .blocks import DEFAULT_CAP, BlockDag
@@ -113,20 +114,25 @@ class Run:
         return os.path.join(self.outdir, name)
 
     def write_csv(self, name, header, rows):
-        """Tabular artifact in the selected format (csv default, json opt-in)."""
-        if getattr(self.args, "format", "csv") == "json":
-            doc = [dict(zip(header, row)) for row in rows]
-            return self.write_json(name[: -len(".csv")] + ".json", doc)
+        """Tabular artifact in the selected format (csv default, json opt-in), row by row."""
+        as_json = getattr(self.args, "format", "csv") == "json"
+        name = name[: -len(".csv")] + ".json" if as_json else name
         path = self.path(name)
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(rows)
+            if as_json:
+                # one indent-2, sorted-key dump of all rows, in batches each less its "[" and "\n]"
+                encode = json.JSONEncoder(sort_keys=True, indent=2).encode
+                rows, sep = iter(rows), "["
+                while batch := [dict(zip(header, row)) for row in islice(rows, 4096)]:
+                    fh.write(sep + encode(batch)[1:-2])
+                    sep = ","
+                fh.write("[]\n" if sep == "[" else "\n]\n")
+            else:
+                writer = csv.writer(fh, lineterminator="\n")
+                writer.writerow(header)
+                writer.writerows(rows)
         self.outputs.append(name)
         return path
-
-    def write_json(self, name, doc):
-        return self.write_text(name, json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
     def write_text(self, name, text):
         path = self.path(name)
@@ -138,8 +144,11 @@ class Run:
     def finish(self):
         digests = {}
         for name in self.outputs:
+            digest = hashlib.sha256()
             with open(self.path(name), "rb") as fh:
-                digests[name] = "sha256:" + hashlib.sha256(fh.read()).hexdigest()
+                for chunk in iter(functools.partial(fh.read, 1 << 20), b""):
+                    digest.update(chunk)
+            digests[name] = "sha256:" + digest.hexdigest()
         manifest = {
             "tool": "rankone",
             "version": __version__,
@@ -293,7 +302,7 @@ def cmd_profile(run):
         }
         for c in cands
     ]
-    run.write_json("profile.json", doc)
+    run.write_text("profile.json", json.dumps(doc, sort_keys=True, indent=2) + "\n")
     print(f"{len(cands)} candidate(s)")
     return 0
 
@@ -462,7 +471,7 @@ def _orbit_spec(args, splice_suffix=0, splice_ones=0):
 def _parse_observable(text):
     kind, _, rest = text.partition(":")
     if kind == "cyl":
-        if not rest or any(ch not in "01" for ch in rest):
+        if not rest or rest.strip("01"):
             raise InputError("observable cyl:<word over 0/1>")
         return ("cyl", rest)
     if kind == "eigen":

@@ -12,14 +12,14 @@ distributions computed below.
 
 from __future__ import annotations
 
+import sys
 from array import array
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import accumulate
 from math import prod
-from operator import sub
 
 from .blocks import DEFAULT_CAP
 from .construction import ConstructionParams, heights
@@ -233,27 +233,37 @@ class IntegerDistribution:
 # coordinates beyond the truncation land in the tail mass.
 
 
-def _level_excess(window):
+SLIDE = 1 << 16  # starts per big-int segment of the enumeration
+
+
+def _slot_width(top):
+    """Smallest power-of-two byte count whose unsigned slot holds top."""
+    return 1 << (max(top.bit_length() - 1, 0) // 8).bit_length()
+
+
+def _level_excess(window, j=1):
     """Excess of every point of the window, indexed by tower level
     t = c_1 + c_2 p_1 + c_3 p_1 p_2 + ..., so that the adding machine is t -> t + 1.
 
-    Built last coordinate first, one pass per coordinate: a point whose first
-    coordinate c is not full collects row[c] and stops; one on the full column
-    collects row[p-1] plus the excess one coordinate deeper, at level t // p.
-    The last level (every coordinate full) is undetermined and holds a
-    placeholder.  Entries take the smallest unsigned typecode holding
-    sum(max(row)); a list only beyond 64 bits."""
-    top = sum(max(row) for _, row in window)
-    code = next((c for c in "BHIQ" if top >> 8 * array(c).itemsize == 0), None)
-    new = list if code is None else partial(array, code)
-    table = new([0])
-    for p, row in reversed(window):
-        deeper = table
-        table = new([0]) * (p * len(deeper))
-        for c in range(p - 1):
-            table[c::p] = new([row[c]]) * len(deeper)
-        table[p - 1::p] = new(map(row[p - 1].__add__, deeper))
-    return table
+    Returns (table, width): one little-endian slot per level, `width` bytes
+    wide, the smallest power of two that holds j * sum(max(row)) (1, 2, 4, 8,
+    then 16 and up), so that a sum of j slots fits in one.  A point whose
+    first non-full coordinate is the k-th collects the full-column spacers of
+    coordinates 1..k-1 plus row_k[c_k], so the table is built last coordinate
+    first: the row's p slots, each plus the spacers above, repeated fill the
+    non-full columns, and the full column is the table one coordinate deeper
+    (level t // p), placed byte by byte at stride p.  The last level (every
+    coordinate full) is undetermined and holds a placeholder."""
+    width = _slot_width(j * sum(max(row) for _, row in window))
+    above = list(accumulate((row[-1] for _, row in window), initial=0))
+    table = above.pop().to_bytes(width, "little")
+    for (p, row), base in zip(reversed(window), reversed(above)):
+        deeper, stride = table, p * width
+        table = bytearray(b"".join((base + v).to_bytes(width, "little") for v in row))
+        table *= len(deeper) // width
+        for b in range(width):
+            table[stride - width + b::stride] = deeper[b::width]
+    return table, width
 
 
 def _window_distribution_enum(window, j, cap):
@@ -261,20 +271,36 @@ def _window_distribution_enum(window, j, cap):
 
     The j-fold sum started at level t reads the excess of levels t..t+j-1, so
     the starts that reach the all-full last level, exactly the last min(j, D)
-    of the D points, land in the tail.  The sums are slid level by level, in
-    time linear in D for every j.  The excess table holds one entry per point,
-    so windows of more than `cap` points are refused before it is built."""
+    of the D points, land in the tail.  Windows of more than `cap` points are
+    refused before the level table is built.  The starts run in segments of
+    max(SLIDE, j), each read as one int; the sums of 2k consecutive slots are
+    those of k slots plus themselves shifted k slots down, so binary doubling
+    forms every start's sum in O(log j) shifted adds.  No slot carries: every
+    partial sum covers at most j levels, and a slot holds j times the largest
+    excess.  A segment holds max(SLIDE, j) + j - 1 slots, so each level is read
+    at most twice, and memory grows with j past SLIDE."""
     size = prod(p for p, _ in window)
     if size > cap:
         raise Refusal(f"enumerating {size} points exceeds the cap; raise it to at least {size}")
-    table = _level_excess(window)
-    view = memoryview(table) if isinstance(table, array) else table
-    n = max(size - j, 0)  # starts whose j levels stay below the last one
+    table, width = _level_excess(window, j)
+    bits = 8 * width
+    code = next((c for c in "BHIQ" if array(c).itemsize == width), None)
+    n, step = max(size - j, 0), max(SLIDE, j)  # the first n starts stay below the last level
     counts = Counter()
-    if n:
-        # each start's sum is the one before, plus the level entering, minus the one leaving
-        steps = map(sub, view[j:size - 1], view[:n - 1])
-        counts.update(accumulate(steps, initial=sum(view[:j])))
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        run = int.from_bytes(memoryview(table)[lo * width:(hi + j - 1) * width], "little")
+        total, span = run, 1  # slot t of total sums the levels t..t+span-1
+        for bit in bin(j)[3:]:
+            total += total >> span * bits
+            span *= 2
+            if bit == "1":
+                total += run >> span * bits
+                span += 1
+        # the sums of starts lo..hi-1, in native byte order for the cast
+        sums = (total & (1 << (hi - lo) * bits) - 1).to_bytes((hi - lo) * width, sys.byteorder)
+        counts.update(memoryview(sums).cast(code) if code else (
+            int.from_bytes(sums[i:i + width], sys.byteorder) for i in range(0, len(sums), width)))
     masses = {v: Fraction(c, size) for v, c in counts.items()}
     return IntegerDistribution.from_map(masses, Fraction(size - n, size))
 

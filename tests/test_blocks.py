@@ -524,8 +524,13 @@ def test_abc_postcondition_smoke(rng):
 
 def test_abc_invalid_symbols():
     dag = BlockDag(chacon(6))
-    with pytest.raises(InputError):
-        abc_decompose(dag, "01x", Fraction(1, 4), 2)
+    # non-str words are refused too, not passed through or left to a TypeError
+    for word in ("01x", "0a1", "a01", "01a", "", b"01", ["0"], None):
+        with pytest.raises(InputError):
+            abc_decompose(dag, word, Fraction(1, 4), 2)
+        with pytest.raises(InputError):
+            dag.count_occurrences(word, 3)
+    blocks._check_word("01" * 500_000)
 
 
 def test_count_with_long_spacer_runs():

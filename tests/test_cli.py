@@ -16,6 +16,7 @@ from rankone.blocks import BlockDag, cylinder_words
 from rankone.cli import REPORT_HEADER, main, replay_manifest, run_argv
 from rankone.construction import load_construction
 from rankone.correlations import verify_rigid_one_spacer, verify_weak_limit_prediction
+from rankone.odometer import cocycle_distribution
 
 
 def run(argv, outdir):
@@ -109,18 +110,35 @@ def test_freq_maxlen_table_equals_per_word_frequencies(tmp_path, monkeypatch, co
 
 
 def test_json_tables_match_csv(tmp_path):
-    argv = ["freq", "--config", "chacon:depth=8", "--stage", "5", "--maxlen", "2"]
-    assert run(argv, tmp_path / "csv")[0] == 0
-    header, *rows = read_csv(tmp_path / "csv" / "freq.csv")
-    code, manifest = run(argv + ["--format", "json"], tmp_path / "json")
-    assert code == 0
-    table = (tmp_path / "json" / "freq.json").read_bytes()
-    records = json.loads(table)
-    assert all(sorted(r) == sorted(header) for r in records)
-    assert [[str(r[k]) for k in header] for r in records] == rows
-    assert manifest["outputs"] == {"freq.json": "sha256:" + hashlib.sha256(table).hexdigest()}
-    ok, _ = replay_manifest(tmp_path / "json" / "manifest.json", str(tmp_path / "replay"))
-    assert ok and (tmp_path / "replay" / "freq.json").read_bytes() == table
+    # a freq table, a cocycle law with its TAIL row and an empty eigen table:
+    # each json file is written row by row and must be the one-shot dump
+    cases = [
+        (["freq", "--config", "chacon:depth=8", "--stage", "5", "--maxlen", "2"], "freq"),
+        (["cocycle", "--config", "chacon:depth=20", "-n", "3", "-j", "2", "--depth", "6"],
+         "cocycle"),
+        (["eigen", "--config", "chacon:depth=12"], "eigen"),
+    ]
+    tables = {}
+    for argv, name in cases:
+        out = tmp_path / name
+        assert run(argv, out / "csv")[0] == 0
+        header, *rows = read_csv(out / "csv" / f"{name}.csv")
+        code, manifest = run(argv + ["--format", "json"], out / "json")
+        assert code == 0
+        table = (out / "json" / f"{name}.json").read_bytes()
+        records = json.loads(table)
+        assert table.decode() == json.dumps(records, sort_keys=True, indent=2) + "\n"
+        assert all(sorted(r) == sorted(header) for r in records)
+        assert [[str(r[k]) for k in header] for r in records] == rows
+        digest = "sha256:" + hashlib.sha256(table).hexdigest()
+        assert manifest["outputs"] == {f"{name}.json": digest}
+        ok, _ = replay_manifest(out / "json" / "manifest.json", str(out / "replay"))
+        assert ok and (out / "replay" / f"{name}.json").read_bytes() == table
+        tables[name] = records
+    law = cocycle_distribution(load_construction("chacon:depth=20"), 3, 2, 6)
+    assert tables["cocycle"] == [dict(zip(("value", "numerator", "denominator"), row))
+                                 for row in law.csv_rows()]
+    assert tables["cocycle"][-1]["value"] == "TAIL" and tables["eigen"] == []
 
 
 def test_distribution_csv_footer(tmp_path):

@@ -220,8 +220,9 @@ def _point_walk_distribution(params, n, j, depth):
 
 
 @pytest.mark.parametrize("big", [3, 300, 70_000, 2**70])
-def test_enumeration_equals_point_walk(rng, big):
-    # spacers past 255 and 65535 widen the table's typecode; past 2^64 it is a list
+def test_enumeration_equals_point_walk(rng, big, monkeypatch):
+    # spacers past 255 and 65535 widen the table's slots; past 2^64 they take 16 bytes.
+    # SLIDE = 1 and 3 split the starts into many segments, and j > SLIDE lengthens them
     for depth in (1, 2, 3, 4) * 6:
         n = rng.randint(0, 2)
         cuts = tuple(rng.randint(2, 4) for _ in range(n + depth))
@@ -231,8 +232,10 @@ def test_enumeration_equals_point_walk(rng, big):
         # j = size and beyond: every start reaches the all-full level
         for j in sorted({1, 2, 3, 5, size - 1, size, size + 3}):
             expected = _point_walk_distribution(params, n, j, depth)
-            assert cocycle_distribution(params, n, j, depth, method="enumerate") == expected
             assert expected.tail == Fraction(min(j, size), size)
+            for slide in (1, 3, 2**16):
+                monkeypatch.setattr(odometer, "SLIDE", slide)
+                assert cocycle_distribution(params, n, j, depth, method="enumerate") == expected
 
 
 @pytest.mark.parametrize(
@@ -241,11 +244,13 @@ def test_enumeration_equals_point_walk(rng, big):
      (2**64, None)],
 )
 def test_level_excess_typecode(top, typecode):
-    # the point (1, 0) collects both row maxima: the table's largest entry is top
+    # one slot per level, as wide as the array item the counts read it through;
+    # 16 bytes past 64 bits.  The point (1, 0) collects both row maxima: the largest slot is top
     window = ((2, (0, top - top // 2)), (3, (top // 2, 0, 1)))
-    table = odometer._level_excess(window)
-    assert getattr(table, "typecode", None) == typecode
-    assert len(table) == 6 and max(table) == top
+    table, width = odometer._level_excess(window)
+    assert width == {"B": 1, "H": 2, "I": 4, "Q": 8, None: 16}[typecode]
+    slots = [int.from_bytes(table[i:i + width], "little") for i in range(0, len(table), width)]
+    assert len(slots) == 6 and max(slots) == top
 
 
 def test_distribution_zero_spacer():
