@@ -22,6 +22,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, islice
+from operator import add
 
 from .construction import ConstructionParams, heights, spacer_stats
 from .errors import InputError, RangeError, Refusal
@@ -38,6 +39,16 @@ def _check_word(word):
 _MASKS = {"0": str.maketrans("01#", "100"), "1": str.maketrans("01#", "010")}
 
 
+def _hit_mask(text, w1, w2, lag):
+    """Big int with bit len(text) - 1 - i set where `count_overlapping` counts
+    start i; `text` is not empty."""
+    mask = {c: int(text.translate(_MASKS[c]), 2) for c in set(w1 + w2)}
+    hits = mask[w1[0]]
+    for k, c in [*enumerate(w1[1:], 1), *enumerate(w2, lag)]:
+        hits &= mask[c] << k
+    return hits
+
+
 def count_overlapping(text, w1, w2="", lag=0):
     """Positions i of `text` with `w1` at i and `w2` at i + lag, both inside
     `text`; overlaps included.  With the default empty `w2` this counts the
@@ -48,13 +59,18 @@ def count_overlapping(text, w1, w2="", lag=0):
     matches nothing.  The mask of the letter at offset k from the start,
     shifted left by k, flags start i at bit len(text) - 1 - i; its low k bits
     are clear, so windows running past the end drop out of the AND."""
+    return _hit_mask(text, w1, w2, lag).bit_count() if text else 0
+
+
+_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _hit_table(text, w1, w2, lag):
+    """One byte per position of `text`: 1 at each start `count_overlapping`
+    counts, else 0."""
     if not text:
-        return 0
-    mask = {c: int(text.translate(_MASKS[c]), 2) for c in set(w1 + w2)}
-    hits = mask[w1[0]]
-    for k, c in [*enumerate(w1[1:], 1), *enumerate(w2, lag)]:
-        hits &= mask[c] << k
-    return hits.bit_count()
+        return b""
+    return format(_hit_mask(text, w1, w2, lag), f"0{len(text)}b").encode().translate(_BITS)
 
 
 @dataclass(frozen=True)
@@ -75,8 +91,10 @@ class BlockDag:
     with the spacer row that follows them.  Two readers use the start
     offsets: `_locate` descends a stage by one bisection while its range
     stays inside one piece, and `segments` splits a range into pieces.
-    `_extract` reads a range where `_locate` leaves it, and the sampled
-    correlation serves both words of a sample by one `_locate` of their span.
+    `_extract` reads a range where `_locate` leaves it.  `_gaps` flattens
+    several stages into copies of one block, each with the run of "1"s after
+    it; the sampled correlation indexes its draws by those copies and takes
+    one `_locate` of a draw's span only where no hit table covers it.
     Counts read the spacer rows alone, through one seam walker: `_seams` joins
     each stage's row, its pieces cut down to their edges, into one seam string,
     and both `_count` (words, word pairs) and `window_counts` (all windows of
@@ -183,6 +201,17 @@ class BlockDag:
             for a, b, child in self.segments(n, lo, hi)
         )
 
+    def _gaps(self, n, k):
+        """The run of "1"s after each copy of B_k in B_n (k <= n), in order:
+        B_n is those copies, each followed by its run, which sums the
+        trailing spacer runs of the blocks the copy ends."""
+        gaps = [0]
+        for j in range(k + 1, n + 1):
+            row, c = self._layout[j][1], len(gaps)
+            gaps *= len(row)
+            gaps[c - 1::c] = map(add, gaps[c - 1::c], row)
+        return gaps
+
     def _locate(self, n, lo, hi):
         """The range [lo, hi) of B_n, 0-based and unchecked, moved into the
         deepest copy of a block that holds it whole: (m, lo', hi') with the
@@ -257,6 +286,8 @@ class BlockDag:
         """Positions i with `w1` at i and `w2` at i + lag, both inside B_n:
         the windows of their span that `_seams` yields, each seam part counted
         alone when the gap between the words may cover a "#"."""
+        if lag < len(w1) and w1[lag:lag + len(w2)] != w2[:len(w1) - lag]:
+            return 0  # the words disagree where they overlap
         total = 0
         for copies, text, ones in self._seams(max(len(w1), lag + len(w2)), n, capped):
             parts = text.split("#") if w2 else [text]

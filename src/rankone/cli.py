@@ -120,13 +120,16 @@ class Run:
         path = self.path(name)
         with open(path, "w", newline="", encoding="utf-8") as fh:
             if as_json:
-                # one indent-2, sorted-key dump of all rows, in batches each less its "[" and "\n]"
-                encode = json.JSONEncoder(sort_keys=True, indent=2).encode
-                rows, sep = iter(rows), "["
+                # the indent-2, sorted-key dump of all rows, in batches: the C encoder
+                # (indent None) puts ",\n    " between keys and between rows alike, and
+                # one replace turns each row break "},\n    {" into the indented one; an
+                # encoded string holds no raw newline, so no value can take part
+                encode = json.JSONEncoder(sort_keys=True, separators=(",\n    ", ": ")).encode
+                rows, sep = iter(rows), "[\n  {\n    "
                 while batch := [dict(zip(header, row)) for row in islice(rows, 4096)]:
-                    fh.write(sep + encode(batch)[1:-2])
-                    sep = ","
-                fh.write("[]\n" if sep == "[" else "\n]\n")
+                    fh.write(sep + encode(batch)[2:-2].replace("},\n    {", "\n  },\n  {\n    "))
+                    sep = "\n  },\n  {\n    "
+                fh.write("[]\n" if sep.startswith("[") else "\n  }\n]\n")
             else:
                 writer = csv.writer(fh, lineterminator="\n")
                 writer.writerow(header)

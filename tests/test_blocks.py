@@ -217,6 +217,40 @@ def test_count_recursion_equals_naive_scan(seed, w1, w2, limit, data):
         assert dag.count_occurrences(w1, stage) == expected
 
 
+def test_count_of_a_pair_that_cannot_occur_walks_nothing(monkeypatch):
+    # words that disagree where they overlap count 0 before any seam string
+    # is built; pairs that agree there, or do not overlap, are still counted
+    calls = []
+
+    def record(text, w1, w2="", lag=0):
+        calls.append(len(text))
+        return count_overlapping(text, w1, w2, lag)
+
+    monkeypatch.setattr("rankone.blocks.count_overlapping", record)
+    impossible = [("0", "1", 0), ("1", "0", 0), ("01", "1", 0), ("010", "11", 1),
+                  ("0110", "01", 2), ("00", "10", 1)]
+    possible = [("0", "0", 0), ("01", "1", 1), ("010", "10", 1), ("0110", "1", 2),
+                ("0", "1", 1), ("01", "10", 2), ("1", "01", 1)]
+    rng = random.Random(5)
+    cases = [(chacon(8), 6), (katok(cuts=(100, 300)), 3)] + [
+        (params, params.depth + 1)
+        for params in (random_bounded_params(rng, depth=5, max_spacer=6) for _ in range(6))]
+    for params, stage in cases:
+        dag = BlockDag(params)
+        text = dag.materialize(stage)
+        for w1, w2, lag in impossible + possible:
+            span = max(len(w1), lag + len(w2))
+            expected = sum(text.startswith(w1, i) and text.startswith(w2, i + lag)
+                           for i in range(len(text) - span + 1))
+            calls.clear()
+            assert dag._count(w1, w2, lag, stage) == expected
+            if (w1, w2, lag) in impossible:
+                assert expected == 0 and calls == []
+    # katok's lag-0 prediction pair: no walk of its 10,000-copy row
+    calls.clear()
+    assert BlockDag(katok(cuts=(100, 10000)))._count("0", "1", 0, 3) == 0 and calls == []
+
+
 def test_count_cap_is_longest_string_built(monkeypatch):
     # a single word of the span makes the descent pass each string it builds,
     # unsplit, to count_overlapping; a word pair of the same span builds the

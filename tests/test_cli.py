@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import rankone
 from rankone.blocks import BlockDag, cylinder_words
-from rankone.cli import REPORT_HEADER, main, replay_manifest, run_argv
+from rankone.cli import REPORT_HEADER, Run, build_parser, main, replay_manifest, run_argv
 from rankone.construction import load_construction
 from rankone.correlations import verify_rigid_one_spacer, verify_weak_limit_prediction
 from rankone.odometer import cocycle_distribution
@@ -139,6 +139,30 @@ def test_json_tables_match_csv(tmp_path):
     assert tables["cocycle"] == [dict(zip(("value", "numerator", "denominator"), row))
                                  for row in law.csv_rows()]
     assert tables["cocycle"][-1]["value"] == "TAIL" and tables["eigen"] == []
+
+
+@pytest.mark.parametrize(
+    "header, rows",
+    [
+        (["text", "n", "x"],
+         [('say "hi"', 1, 0.5), ("two\nlines", -2, 1e-300), ("Möbius – μ ☃", 2**70, -0.0),
+          ("},\n    {", 0, 3.25), ('}",\n    {"', None, True), ("\\", "", False)]
+         + [(f"row{k}", k, k / 7) for k in range(9000)]),
+        (["only"], [(k,) for k in range(5000)] + [("},\n    {",)]),
+        (["a", "b"], []),
+    ],
+    ids=["quotes-newlines-unicode-batches", "one-column", "empty"],
+)
+def test_json_writer_matches_one_shot_dump(tmp_path, header, rows):
+    # the batched C-encoder writer gives the bytes of one indent-2, sorted-key
+    # dump, whatever the strings hold and across batch boundaries
+    args = build_parser().parse_args(
+        ["heights", "--config", "vnk:depth=3", "-n", "2", "--format", "json",
+         "--out", str(tmp_path)])
+    path = Run(args, []).write_csv("table.csv", header, iter(rows))
+    expected = json.dumps([dict(zip(header, row)) for row in rows], sort_keys=True, indent=2)
+    with open(path, encoding="utf-8", newline="") as fh:
+        assert fh.read() == expected + "\n"
 
 
 def test_distribution_csv_footer(tmp_path):

@@ -4,8 +4,8 @@ from unittest.mock import patch
 
 import pytest
 
-from rankone import blocks
-from rankone.blocks import PREFIX_LIMIT, BlockDag
+from rankone import blocks, correlations
+from rankone.blocks import DEFAULT_CAP, PREFIX_LIMIT, BlockDag, _hit_table
 from rankone.construction import (
     ConstructionParams,
     chacon,
@@ -15,6 +15,7 @@ from rankone.construction import (
 )
 from rankone.correlations import (
     _draws,
+    _reader,
     correlation,
     verify_half_spacer_mixing,
     verify_rigid_one_spacer,
@@ -148,6 +149,34 @@ def _branches(dag, w1, w2, lag, stage, samples, seed):
 # spacer runs of 2 and 3 symbols at every stage; a PREFIX_LIMIT of 8 leaves
 # them to the descent
 LONG_RUNS = ConstructionParams((3,) * 10, ((0, 2, 3),) * 10)
+# runs of 40 and more: a cap of 30 builds no seam table across them
+LONGER_RUNS = ConstructionParams((3,) * 6, ((0, 0, 40),) * 6)
+# runs of 7, 12 and their sums, over a prefix block of 22 symbols
+ONES_RUNS = ConstructionParams((3,) * 8, ((0, 7, 12),) * 8)
+# runs of 9 after every other copy: over B_1, the spacers fill most of each block
+SPACER_FILLED = ConstructionParams((2,) * 6, ((0, 9),) * 6)
+
+# flat levels of at most 1 and 3 copies, and of the default _FLAT; one draw per chunk
+SETTINGS = [{"_FLAT": 1}, {"_FLAT": 3}, {"_FLAT": correlations._FLAT}, {"_CHUNK": 1}]
+
+
+def _sampled_counting_reads(dag, w1, w2, lag, stage, samples, seed):
+    """The sampled value and how many draws the per-sample read served."""
+    reads = []
+
+    def reader(*args):
+        read = _reader(*args)
+
+        def counted(n, i):
+            reads.append(i)
+            return read(n, i)
+
+        return counted
+
+    with patch.object(correlations, "_reader", reader):
+        est = correlation(dag, w1, w2, lag, stage, method="sampled", sample_budget=samples,
+                          seed=seed)
+    return est.value, len(reads)
 
 
 @pytest.mark.parametrize(
@@ -160,25 +189,93 @@ LONG_RUNS = ConstructionParams((3,) * 10, ((0, 2, 3),) * 10)
         (chacon(30), {}, PREFIX_LIMIT, "0", "01", 0, 20, 3000, 3, "prefix"),
         (chacon(30), {"cap": 1000}, 1000, "01", "1", 3, 31, 2000, 5, "straddle"),
         (chacon(30), {}, PREFIX_LIMIT, "0", "0", 40, 11, 2000, 1, "prefix"),
+        (LONGER_RUNS, {"cap": 30}, 43, "0", "0", 3, 6, 3000, 4, "spacer"),
+        (ONES_RUNS, {}, 22, "111", "1111", 3, 7, 3000, 6, "spacer"),
+        (SPACER_FILLED, {}, 1, "1", "1", 0, 7, 2000, 8, "spacer"),
+        (chacon(45), {}, PREFIX_LIMIT, "0", "0", 40, 46, 2000, 3, "prefix"),
     ],
     ids=["inside-prefix", "inside-spacer-run", "katok-lag-26", "span-longer-than-prefix",
-         "lag-0-longer-w2", "beyond-cap", "block-is-prefix"],
+         "lag-0-longer-w2", "beyond-cap", "block-is-prefix", "gap-too-long",
+         "all-ones-in-long-runs", "spacers-fill-the-level", "offsets-past-2**63"],
 )
 def test_sampler_matches_per_sample_reference(request, params, dag_kwargs, limit, w1, w2, lag,
                                               stage, samples, seed, branch):
     with patch.object(blocks, "PREFIX_LIMIT", limit):
         dag = BlockDag(params, **dag_kwargs)
+    span = max(len(w1), lag + len(w2))
     case = request.node.callspec.id
     if case == "span-longer-than-prefix":
-        assert lag > len(dag._prefix)
+        assert span > len(dag._prefix)
     if case == "block-is-prefix":
         assert dag.height(stage) == len(dag._prefix)
     if case == "beyond-cap":
         assert dag.height(stage) > dag.cap
+    if case == "gap-too-long":  # every seam table across a spacer run exceeds the cap
+        assert min(2 * span - 2 + s for s in params.spacers[0] if s) > dag.cap
+    if case == "offsets-past-2**63":
+        assert dag.height(stage) > 2**63
     assert branch in _branches(dag, w1, w2, lag, stage, samples, seed)
-    est = correlation(dag, w1, w2, lag, stage, method="sampled", sample_budget=samples,
-                      seed=seed)
-    assert est.value == _sampled_reference(dag, w1, w2, lag, stage, samples, seed)
+    expected = _sampled_reference(dag, w1, w2, lag, stage, samples, seed)
+    for setting in SETTINGS:
+        with patch.multiple(correlations, **setting):
+            value, reads = _sampled_counting_reads(dag, w1, w2, lag, stage, samples, seed)
+        assert value == expected, setting
+        # draws the tables cannot settle, and only those, are read one by one
+        if case == "span-longer-than-prefix":
+            assert reads == samples
+        elif case == "gap-too-long":
+            assert 0 < reads < samples
+        elif case == "spacers-fill-the-level":  # no bucket index over B_1's copies in B_2
+            assert 0 < reads <= samples
+        else:
+            assert reads == 0
+
+
+def test_seam_tables_stay_under_the_cap():
+    # for a span of 4 the seam tables of B_3's copies of B_2 span 3 + 3 and
+    # 3 + 40 + 3 symbols: a cap of 51 leaves the draws across the run of 40
+    # to the per-sample read, a cap of 52 builds both, and the seam strings
+    # of the one flat level never sum to more than the cap
+    texts = []
+
+    def table(text, w1, w2, lag):
+        texts.append(len(text))
+        return _hit_table(text, w1, w2, lag)
+
+    reads = {}
+    for cap in (51, 52):
+        with patch.object(blocks, "PREFIX_LIMIT", 43):
+            dag = BlockDag(LONGER_RUNS, cap=cap)
+        texts.clear()
+        with patch.object(correlations, "_hit_table", table):
+            value, reads[cap] = _sampled_counting_reads(dag, "0", "0", 3, 3, 3000, 9)
+        assert value == _sampled_reference(dag, "0", "0", 3, 3, 3000, 9)
+        assert sum(texts[:-1]) <= cap  # the last is the prefix block's table
+    assert reads[51] > 0 and reads[52] == 0
+
+
+def test_sampler_matches_reference_on_random_constructions(rng):
+    # random bounded constructions, prefix blocks, caps, words and lags under
+    # every flat-level setting: the chunked tables read what one descent per
+    # draw reads
+    for _ in range(80):
+        params = random_bounded_params(rng, depth=rng.randint(3, 7),
+                                       max_spacer=rng.choice((3, 12)))
+        with patch.object(blocks, "PREFIX_LIMIT", rng.choice((1, 16, 64, 256, PREFIX_LIMIT))):
+            dag = BlockDag(params, cap=rng.choice((8, 40, DEFAULT_CAP)))
+        stage = rng.randint(2, dag.max_stage)
+        w1, w2 = (format(rng.randrange(2 ** k), f"0{k}b") for k in (rng.randint(1, 3),
+                                                                   rng.randint(1, 3)))
+        lag = rng.randint(0, 6)
+        if max(len(w1), lag + len(w2)) > dag.height(stage):
+            continue
+        seed, samples = rng.randrange(2**32), rng.randint(1, 400)
+        expected = _sampled_reference(dag, w1, w2, lag, stage, samples, seed)
+        for setting in SETTINGS:
+            with patch.multiple(correlations, **setting):
+                est = correlation(dag, w1, w2, lag, stage, method="sampled",
+                                  sample_budget=samples, seed=seed)
+            assert est.value == expected, (params, stage, w1, w2, lag, setting)
 
 
 @pytest.mark.parametrize(
