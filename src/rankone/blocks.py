@@ -16,19 +16,23 @@ uncovered letter count controlled once the window is long enough.
 
 from __future__ import annotations
 
+import math
 import re
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, islice
-from operator import add
+from functools import partial
+from itertools import accumulate, compress, count, islice, repeat
+from operator import add, floordiv, ge, getitem, le, mod, not_, sub
 
 from .construction import ConstructionParams, heights, spacer_stats
 from .errors import InputError, RangeError, Refusal
 
 DEFAULT_CAP = 10_000_000
 PREFIX_LIMIT = 1 << 17
+_FLAT = 1 << 14  # copies of its lower block a flat level of the sampler holds, at most
+_CHUNK = 1 << 11  # draws the sampler settles together
 
 
 def _check_word(word):
@@ -73,6 +77,117 @@ def _hit_table(text, w1, w2, lag):
     return format(_hit_mask(text, w1, w2, lag), f"0{len(text)}b").encode().translate(_BITS)
 
 
+def _get(table, indexes):
+    """`table[i]` for each i of `indexes`, lazily: `getitem` on a repeated
+    table outruns the bound `__getitem__` of a list or bytes."""
+    return map(getitem, repeat(table), indexes)
+
+
+def _reader(dag, w1, w2, lag, span):
+    """The per-sample read: whether w1 sits at i of B_n and w2 at i + lag,
+    by one `_locate` of their span; unchecked, the span lies in B_n."""
+    locate, extract, prefix = dag._locate, dag._extract, dag._prefix
+    limit, ones = len(prefix), "0" not in w1 + w2
+
+    def read(n, i):
+        m, lo, hi = locate(n, i, i + span)
+        if not m:  # inside a spacer run
+            return ones
+        if hi <= limit:
+            return prefix.startswith(w1, lo) and prefix.startswith(w2, lo + lag)
+        return (extract(m, lo, lo + len(w1)) == w1
+                and extract(m, lo + lag, lo + lag + len(w2)) == w2)
+
+    return read
+
+
+def _level(dag, n, k, span, table, read):
+    """The settler of one flat level, B_n as copies of B_k each followed by
+    its gap, the run of "1"s that sums the trailing spacer runs of the blocks
+    the copy ends: it takes offsets in B_n and returns the offsets in B_k of
+    those whose span stays inside a copy, with the hits of the rest.  Those
+    are read from the hit table (`table`) of tail + "1" * gap + head, the
+    last and first span - 1 symbols of B_k, one per distinct gap, shortest
+    first while their total fits under the cap; a gap left without one is
+    read by `read`.
+
+    Copies start at least h_k apart, so a draw's copy is the one its bucket
+    lo // h_k starts in, or the next: the offset from the bucket's copy start
+    modulo that copy's period (h_k + its gap).  Where the gaps fill half of
+    B_n or more, which would make twice as many buckets as copies, `read`
+    takes every draw."""
+    h = dag._heights[k]
+    gaps = [0]
+    for j in range(k + 1, n + 1):
+        row, c = dag._layout[j][1], len(gaps)
+        gaps *= len(row)
+        gaps[c - 1::c] = map(add, gaps[c - 1::c], row)
+    if dag._heights[n] // h >= 2 * len(gaps):
+        return lambda los: ([], sum(map(read, repeat(n), los)))
+    starts = list(accumulate(map(add, gaps, repeat(h)), initial=0))
+    # bucket b belongs to the last copy c with c * h + (the gaps before c)
+    # <= b * h: each copy opens one bucket, and each multiple e * h the gaps
+    # run past adds one to the last copy c_e whose gaps before it stay within
+    # it, at c_e + 1 + e
+    spill = list(accumulate(gaps, initial=0))
+    opens = bytearray(b"\1") * (len(gaps) + -(-spill[-1] // h))
+    for b in map(add, map(bisect_right, repeat(spill), range(0, spill[-1], h)), count()):
+        opens[b] = 0
+    idx = list(islice(accumulate(opens, initial=-1), 1, None))
+    base = list(_get(starts, idx))
+    period = list(map(add, _get(gaps, idx), repeat(h)))
+    tail, head = dag._extract(k, h - span + 1, h), dag._extract(k, 0, span - 1)
+    at, tables, size, distinct = {}, [], 0, sorted(set(gaps))
+    for g in distinct:
+        if size + 2 * span - 2 + g > dag.cap:
+            break
+        at[g] = size - (h - span + 1)  # a seam draw's table index less its offset
+        tables.append(table(tail + "1" * g + head))
+        size += 2 * span - 2 + g
+    seam, lost = b"".join(tables), len(at) < len(distinct)
+
+    def settle(los):
+        bs = list(map(floordiv, los, repeat(h)))
+        raw = list(map(sub, los, _get(base, bs)))
+        per = list(_get(period, bs))
+        rs = list(map(mod, raw, per))
+        inside = list(map(le, rs, repeat(h - span)))
+        down = list(compress(rs, inside))
+        if len(down) == len(rs):
+            return down, 0
+        out = list(map(not_, inside))
+        # the bucket's copy, or the next one when the offset passed its period
+        cs = map(add, _get(idx, compress(bs, out)), map(ge, compress(raw, out), compress(per, out)))
+        gs, rs = list(_get(gaps, cs)), compress(rs, out)
+        if not lost:
+            return down, sum(_get(seam, map(add, map(at.__getitem__, gs), rs)))
+        return down, sum(seam[at[g] + r] if g in at else read(n, lo)
+                         for g, r, lo in zip(gs, rs, compress(los, out)))
+
+    return settle
+
+
+def _runs(cuts):
+    """Stages per flat level, from the cuts of the stages above the prefix
+    block, both top first: the fewest levels of at most _FLAT copies (a
+    stage with more is a level alone), each closed once it holds the L-th
+    root of all the copies, so they come out even.  Chacon's 20 stages above
+    B_11 make 7 + 7 + 6 where filled levels would make 8 + 8 + 4, with twice
+    3^8 copies to index."""
+    def split(full):
+        runs = []  # [stages, copies]
+        for p in cuts:
+            if runs and not full(runs[-1][1]) and runs[-1][1] * p <= _FLAT:
+                runs[-1][0] += 1
+                runs[-1][1] *= p
+            else:
+                runs.append([1, p])
+        return runs
+
+    root = math.exp(sum(map(math.log, cuts)) / max(len(split(lambda copies: False)), 1))
+    return [stages for stages, _ in split(lambda copies: copies >= root)]
+
+
 @dataclass(frozen=True)
 class CylinderMeasureEstimate:
     word: str
@@ -91,10 +206,8 @@ class BlockDag:
     with the spacer row that follows them.  Two readers use the start
     offsets: `_locate` descends a stage by one bisection while its range
     stays inside one piece, and `segments` splits a range into pieces.
-    `_extract` reads a range where `_locate` leaves it.  `_gaps` flattens
-    several stages into copies of one block, each with the run of "1"s after
-    it; the sampled correlation indexes its draws by those copies and takes
-    one `_locate` of a draw's span only where no hit table covers it.
+    `_extract` reads a range where `_locate` leaves it, and `_sampled_hits`
+    settles a sampled correlation's draws through tables over the layout.
     Counts read the spacer rows alone, through one seam walker: `_seams` joins
     each stage's row, its pieces cut down to their edges, into one seam string,
     and both `_count` (words, word pairs) and `window_counts` (all windows of
@@ -201,17 +314,6 @@ class BlockDag:
             for a, b, child in self.segments(n, lo, hi)
         )
 
-    def _gaps(self, n, k):
-        """The run of "1"s after each copy of B_k in B_n (k <= n), in order:
-        B_n is those copies, each followed by its run, which sums the
-        trailing spacer runs of the blocks the copy ends."""
-        gaps = [0]
-        for j in range(k + 1, n + 1):
-            row, c = self._layout[j][1], len(gaps)
-            gaps *= len(row)
-            gaps[c - 1::c] = map(add, gaps[c - 1::c], row)
-        return gaps
-
     def _locate(self, n, lo, hi):
         """The range [lo, hi) of B_n, 0-based and unchecked, moved into the
         deepest copy of a block that holds it whole: (m, lo', hi') with the
@@ -233,6 +335,42 @@ class BlockDag:
             else:
                 break
         return n, lo, hi
+
+    def _sampled_hits(self, w1, w2, lag, stage, draws):
+        """How many of `draws`, positions i of B_stage, carry w1 at i and w2
+        at i + lag.  No draw is range checked: the caller keeps every joint
+        span inside B_stage.
+
+        The draws are settled _CHUNK at a time through tables built on each
+        call.  The stages from B_stage down to the prefix block B_m fold into
+        flat levels of at most _FLAT copies of a lower block (more when one
+        stage has more; `_runs`), each copy followed by its gap, its run of
+        "1"s.  At each level (`_level`) a bucket index finds each draw's copy;
+        a draw whose span leaves the copy is read from the hit table of that
+        gap's seam, and the others descend into the copy.  One hit table over
+        B_m (B_stage, when no deeper) settles the draws that reach the bottom.
+        Only draws no table covers take one `_locate` descent each (`_reader`):
+        every draw when the span is longer than B_m, the seam draws of a gap
+        whose table would pass the cap, and every draw of a level that spacer
+        runs fill half of."""
+        span = max(len(w1), lag + len(w2))
+        read = _reader(self, w1, w2, lag, span)
+        m = self._heights.index(len(self._prefix))
+        if stage > m and span > len(self._prefix):
+            return sum(map(read, repeat(stage), draws))
+        table = partial(_hit_table, w1=w1, w2=w2, lag=lag)
+        levels, n = [], stage
+        for stages in _runs([len(self._layout[j][1]) for j in range(stage, m, -1)]):
+            levels.append(_level(self, n, n - stages, span, table, read))
+            n -= stages
+        bottom = _hit_table(self._prefix[:self._heights[min(stage, m)]], w1, w2, lag)
+        hits = 0
+        while los := list(islice(draws, _CHUNK)):
+            for settle in levels:
+                los, seam_hits = settle(los)
+                hits += seam_hits
+            hits += sum(_get(bottom, los))
+        return hits
 
     def symbol_at(self, n, i):
         """Symbol of B_n at 1-based position i, by O(depth) descent."""
@@ -368,7 +506,7 @@ def eventual_period(dag, prefix_length, max_period):
     length = min(prefix_length, dag.height(dag.max_stage))
     prefix = dag.extract(dag.max_stage, 1, length)
     for p in range(1, min(max_period, length - 1) + 1):
-        if all(prefix[i] == prefix[i + p] for i in range(length - p)):
+        if prefix[p:] == prefix[:-p]:
             return p
     return None
 

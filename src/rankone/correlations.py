@@ -7,16 +7,7 @@ bounds each string that descent builds, not the block's length.
 
 Sampled estimates draw seeded uniform positions, the values `randrange`
 draws in the same order (by its own rejection loop on `getrandbits`), with a
-Hoeffding 95% half-width.  They settle the draws _CHUNK at a time through
-tables built once per call: the stages from the block down to the prefix
-block B_m fold into flat levels of at most _FLAT copies of a lower block,
-each followed by its gap (its run of "1"s); a bucket index finds each draw's
-copy, a draw whose joint span leaves the copy is read from the hit table of
-that gap's seam, the others descend, and one hit table over B_m settles them.
-Only draws no table covers (a span longer than B_m, a seam whose table would
-pass the cap, a level that spacer runs fill half of) take a `_locate`
-descent each.  No draw is range checked: every drawn position keeps both
-words inside the block.
+Hoeffding 95% half-width; `BlockDag._sampled_hits` counts their hits.
 
 The verification routines compare measured correlations at the structured
 lags against the convex combinations predicted by the limit laws:
@@ -37,21 +28,14 @@ from __future__ import annotations
 
 import math
 import random
-from array import array
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
-from itertools import accumulate, compress, count, islice, repeat
-from operator import add, floordiv, ge, getitem, le, mod, not_, sub
 
-from .blocks import _check_word, _hit_table
+from .blocks import _check_word
 from .errors import InputError, RangeError, Refusal
 from .odometer import cocycle_distribution
 
 HOEFFDING_95 = math.log(2 / 0.05)
-_FLAT = 1 << 14  # copies of its lower block a flat level of the sampler holds, at most
-_CHUNK = 1 << 11  # draws the sampler settles together
 
 
 @dataclass(frozen=True)
@@ -80,144 +64,6 @@ def _draws(seed, valid, count):
         yield i
 
 
-def _ints(values, top):
-    """`values`, none beyond `top` in size, as an array of 8-byte ints, or
-    past 2^63 as a list."""
-    return array("q", values) if top < 1 << 63 else list(values)
-
-
-def _get(table, indexes):
-    """`table[i]` for each i of `indexes`, lazily: `getitem` on a repeated
-    table outruns the bound `__getitem__` of an array or bytes."""
-    return map(getitem, repeat(table), indexes)
-
-
-def _reader(dag, w1, w2, lag, span):
-    """The per-sample read: whether w1 sits at i of B_n and w2 at i + lag,
-    by one `_locate` of their span; unchecked, the span lies in B_n."""
-    locate, extract, prefix = dag._locate, dag._extract, dag._prefix
-    limit, ones = len(prefix), "0" not in w1 + w2
-
-    def read(n, i):
-        m, lo, hi = locate(n, i, i + span)
-        if not m:  # inside a spacer run
-            return ones
-        if hi <= limit:
-            return prefix.startswith(w1, lo) and prefix.startswith(w2, lo + lag)
-        return (extract(m, lo, lo + len(w1)) == w1
-                and extract(m, lo + lag, lo + lag + len(w2)) == w2)
-
-    return read
-
-
-def _level(dag, n, k, span, table, read):
-    """The settler of one flat level, B_n as copies of B_k each followed by
-    its gap (`BlockDag._gaps`): it takes offsets in B_n and returns the
-    offsets in B_k of those whose span stays inside a copy, with the hits of
-    the rest.  Those are read from the hit table (`table`) of tail + "1" * gap
-    + head, the last and first span - 1 symbols of B_k, one per distinct gap,
-    shortest first while their total fits under the cap; a gap left without
-    one is read by `read`.
-
-    Copies start at least h_k apart, so a draw's copy is the one its bucket
-    lo // h_k starts in, or the next: the offset from the bucket's copy start
-    modulo that copy's period (h_k + its gap).  Where the gaps fill half of
-    B_n or more, which would make twice as many buckets as copies, `read`
-    takes every draw."""
-    h, top = dag._heights[k], dag._heights[n]
-    gaps = dag._gaps(n, k)
-    if top // h >= 2 * len(gaps):
-        return lambda los: ([], sum(map(read, repeat(n), los)))
-    gaps = _ints(gaps, top)
-    starts = _ints(accumulate(map(add, gaps, repeat(h)), initial=0), top)
-    # bucket b belongs to the last copy c with c * h + (the gaps before c)
-    # <= b * h: each copy opens one bucket, and each multiple e * h the gaps
-    # run past adds one to the last copy c_e whose gaps before it stay within
-    # it, at c_e + 1 + e
-    spill = _ints(accumulate(gaps, initial=0), top)
-    opens = bytearray(b"\1") * (len(gaps) + -(-spill[-1] // h))
-    for b in map(add, map(bisect_right, repeat(spill), range(0, spill[-1], h)), count()):
-        opens[b] = 0
-    idx = _ints(islice(accumulate(opens, initial=-1), 1, None), top)
-    base = _ints(_get(starts, idx), top)
-    period = _ints(map(add, _get(gaps, idx), repeat(h)), top)
-    tail, head = dag._extract(k, h - span + 1, h), dag._extract(k, 0, span - 1)
-    at, tables, size, distinct = {}, [], 0, sorted(set(gaps))
-    for g in distinct:
-        if size + 2 * span - 2 + g > dag.cap:
-            break
-        at[g] = size - (h - span + 1)  # a seam draw's table index less its offset
-        tables.append(table(tail + "1" * g + head))
-        size += 2 * span - 2 + g
-    seam, lost = b"".join(tables), len(at) < len(distinct)
-
-    def settle(los):
-        bs = list(map(floordiv, los, repeat(h)))
-        raw = list(map(sub, los, _get(base, bs)))
-        per = list(_get(period, bs))
-        rs = list(map(mod, raw, per))
-        inside = list(map(le, rs, repeat(h - span)))
-        down = list(compress(rs, inside))
-        if len(down) == len(rs):
-            return down, 0
-        out = list(map(not_, inside))
-        # the bucket's copy, or the next one when the offset passed its period
-        cs = map(add, _get(idx, compress(bs, out)), map(ge, compress(raw, out), compress(per, out)))
-        gs, rs = list(_get(gaps, cs)), compress(rs, out)
-        if not lost:
-            return down, sum(_get(seam, map(add, map(at.__getitem__, gs), rs)))
-        return down, sum(seam[at[g] + r] if g in at else read(n, lo)
-                         for g, r, lo in zip(gs, rs, compress(los, out)))
-
-    return settle
-
-
-def _runs(cuts):
-    """Stages per flat level, from the cuts of the stages above the prefix
-    block, both top first: the fewest levels of at most _FLAT copies (a
-    stage with more is a level alone), each closed once it holds the L-th
-    root of all the copies, so they come out even.  Chacon's 20 stages above
-    B_11 make 7 + 7 + 6 where filled levels would make 8 + 8 + 4, with twice
-    3^8 copies to index."""
-    def split(full):
-        runs = []  # [stages, copies]
-        for p in cuts:
-            if runs and not full(runs[-1][1]) and runs[-1][1] * p <= _FLAT:
-                runs[-1][0] += 1
-                runs[-1][1] *= p
-            else:
-                runs.append([1, p])
-        return runs
-
-    root = math.exp(sum(map(math.log, cuts)) / max(len(split(lambda copies: False)), 1))
-    return [stages for stages, _ in split(lambda copies: copies >= root)]
-
-
-def _sampled_hits(dag, w1, w2, lag, stage, span, draws):
-    """Hits among `draws`, positions of B_stage, settled _CHUNK at a time.
-    Flat levels of at most _FLAT copies (more when one stage has more) take
-    the draws from B_stage down to the prefix block B_m, each settling its
-    seam draws; the bottom hit table over B_m (B_stage, when no deeper)
-    settles the rest.  A span longer than B_m reads every draw alone."""
-    read = _reader(dag, w1, w2, lag, span)
-    m = dag._heights.index(len(dag._prefix))
-    if stage > m and span > len(dag._prefix):
-        return sum(map(read, repeat(stage), draws))
-    table = partial(_hit_table, w1=w1, w2=w2, lag=lag)
-    levels, n = [], stage
-    for stages in _runs([len(dag._layout[j][1]) for j in range(stage, m, -1)]):
-        levels.append(_level(dag, n, n - stages, span, table, read))
-        n -= stages
-    bottom = _hit_table(dag._prefix[:dag._heights[min(stage, m)]], w1, w2, lag)
-    hits = 0
-    while los := list(islice(draws, _CHUNK)):
-        for settle in levels:
-            los, seam_hits = settle(los)
-            hits += seam_hits
-        hits += sum(_get(bottom, los))
-    return hits
-
-
 def correlation(dag, w1, w2, lag, stage, method="exact", sample_budget=None, seed=None):
     """Joint frequency of (w1 at i, w2 at i + lag) over one block."""
     _check_word(w1)
@@ -232,10 +78,11 @@ def correlation(dag, w1, w2, lag, stage, method="exact", sample_budget=None, see
     if method == "sampled":
         if type(sample_budget) is not int or sample_budget < 1:  # True is no budget
             raise InputError("sampled correlation needs a positive integer sample budget")
-        if seed is not None and seed < 0:
+        if type(seed) is not int or seed < 0:
+            # Random(None) seeds from OS entropy, so the draws could not be replayed;
             # Random(-s) seeds as Random(s) does: the draws would repeat another seed's
-            raise InputError("the sampler's seed must be >= 0")
-        hits = _sampled_hits(dag, w1, w2, lag, stage, span, _draws(seed, valid, sample_budget))
+            raise InputError("the sampler's seed must be >= 0 and an integer")
+        hits = dag._sampled_hits(w1, w2, lag, stage, _draws(seed, valid, sample_budget))
         ci = math.sqrt(HOEFFDING_95 / (2 * sample_budget))
         return CorrelationEstimate(
             w1, w2, lag, stage, Fraction(hits, sample_budget), "SAMPLED", sample_budget, ci, seed

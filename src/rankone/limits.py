@@ -78,10 +78,6 @@ class LimitProfile:
         if not self.lo <= m <= self.hi:
             raise RangeError(f"window index {m} outside [{self.lo}, {self.hi}]")
 
-    def shift(self, k):
-        """Re-index the window by k (same data, indices moved)."""
-        return LimitProfile(self.lo + k, self.pis, self.etas, self.bounded_by)
-
     def eta_bound(self):
         return self.bounded_by if self.bounded_by is not None else max(
             max(row) for row in self.etas

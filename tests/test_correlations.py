@@ -4,8 +4,8 @@ from unittest.mock import patch
 
 import pytest
 
-from rankone import blocks, correlations
-from rankone.blocks import DEFAULT_CAP, PREFIX_LIMIT, BlockDag, _hit_table
+from rankone import blocks
+from rankone.blocks import DEFAULT_CAP, PREFIX_LIMIT, BlockDag, _hit_table, _reader
 from rankone.construction import (
     ConstructionParams,
     chacon,
@@ -15,7 +15,6 @@ from rankone.construction import (
 )
 from rankone.correlations import (
     _draws,
-    _reader,
     correlation,
     verify_half_spacer_mixing,
     verify_rigid_one_spacer,
@@ -116,9 +115,11 @@ def test_sampled_needs_budget():
     for budget in (None, 0, -3, True, 2.0, "5"):
         with pytest.raises(InputError, match="positive integer sample budget"):
             correlation(dag, "0", "0", 1, 5, method="sampled", sample_budget=budget)
-    # Random(-s) draws exactly what Random(s) draws
-    with pytest.raises(InputError, match="seed must be >= 0"):
-        correlation(dag, "0", "0", 1, 5, method="sampled", sample_budget=10, seed=-1)
+    # Random(-s) draws exactly what Random(s) draws, and Random(None) draws
+    # from OS entropy: neither replays
+    for seed in (-1, None, True):
+        with pytest.raises(InputError, match="seed must be >= 0"):
+            correlation(dag, "0", "0", 1, 5, method="sampled", sample_budget=10, seed=seed)
 
 
 def _sampled_reference(dag, w1, w2, lag, stage, samples, seed):
@@ -157,7 +158,7 @@ ONES_RUNS = ConstructionParams((3,) * 8, ((0, 7, 12),) * 8)
 SPACER_FILLED = ConstructionParams((2,) * 6, ((0, 9),) * 6)
 
 # flat levels of at most 1 and 3 copies, and of the default _FLAT; one draw per chunk
-SETTINGS = [{"_FLAT": 1}, {"_FLAT": 3}, {"_FLAT": correlations._FLAT}, {"_CHUNK": 1}]
+SETTINGS = [{"_FLAT": 1}, {"_FLAT": 3}, {"_FLAT": blocks._FLAT}, {"_CHUNK": 1}]
 
 
 def _sampled_counting_reads(dag, w1, w2, lag, stage, samples, seed):
@@ -173,7 +174,7 @@ def _sampled_counting_reads(dag, w1, w2, lag, stage, samples, seed):
 
         return counted
 
-    with patch.object(correlations, "_reader", reader):
+    with patch.object(blocks, "_reader", reader):
         est = correlation(dag, w1, w2, lag, stage, method="sampled", sample_budget=samples,
                           seed=seed)
     return est.value, len(reads)
@@ -217,7 +218,7 @@ def test_sampler_matches_per_sample_reference(request, params, dag_kwargs, limit
     assert branch in _branches(dag, w1, w2, lag, stage, samples, seed)
     expected = _sampled_reference(dag, w1, w2, lag, stage, samples, seed)
     for setting in SETTINGS:
-        with patch.multiple(correlations, **setting):
+        with patch.multiple(blocks, **setting):
             value, reads = _sampled_counting_reads(dag, w1, w2, lag, stage, samples, seed)
         assert value == expected, setting
         # draws the tables cannot settle, and only those, are read one by one
@@ -247,7 +248,7 @@ def test_seam_tables_stay_under_the_cap():
         with patch.object(blocks, "PREFIX_LIMIT", 43):
             dag = BlockDag(LONGER_RUNS, cap=cap)
         texts.clear()
-        with patch.object(correlations, "_hit_table", table):
+        with patch.object(blocks, "_hit_table", table):
             value, reads[cap] = _sampled_counting_reads(dag, "0", "0", 3, 3, 3000, 9)
         assert value == _sampled_reference(dag, "0", "0", 3, 3, 3000, 9)
         assert sum(texts[:-1]) <= cap  # the last is the prefix block's table
@@ -272,7 +273,7 @@ def test_sampler_matches_reference_on_random_constructions(rng):
         seed, samples = rng.randrange(2**32), rng.randint(1, 400)
         expected = _sampled_reference(dag, w1, w2, lag, stage, samples, seed)
         for setting in SETTINGS:
-            with patch.multiple(correlations, **setting):
+            with patch.multiple(blocks, **setting):
                 est = correlation(dag, w1, w2, lag, stage, method="sampled",
                                   sample_budget=samples, seed=seed)
             assert est.value == expected, (params, stage, w1, w2, lag, setting)
