@@ -260,7 +260,7 @@ def cmd_freq(run):
         maxlen = min(maxlen, dag.height(stage))
         if maxlen > dag.cap.bit_length() or (maxlen - 1) * 2 ** (maxlen + 1) + 2 > dag.cap:
             raise Refusal(f"the words of lengths 1..{maxlen} hold more symbols in all than "
-                          f"the materialization cap {dag.cap}; lower --maxlen or raise --cap")
+                          f"the cap {dag.cap} on the table's output; lower --maxlen or raise --cap")
         # one window table per length; the rows stream in `cylinder_words` order
         h = dag.height(stage)
         rows = ((w, stage, counts[w], h - k + 1, _rat(Fraction(counts[w], h - k + 1)))

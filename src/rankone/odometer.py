@@ -212,9 +212,6 @@ class IntegerDistribution:
     def mass_at_least(self, value):
         return sum((m for v, m in self.masses if v >= value), Fraction(0))
 
-    def shift(self, k):
-        return IntegerDistribution(tuple((v + k, m) for v, m in self.masses), self.tail)
-
     def csv_rows(self):
         """Rows value,numerator,denominator with a TAIL footer row."""
         rows = [(v, m.numerator, m.denominator) for v, m in self.masses]
@@ -226,11 +223,12 @@ class IntegerDistribution:
 # Distribution of the centered cocycle sums
 # ----------------------------------------------------------------------------
 #
-# Both evaluation orders below compute the exact law, over the product-uniform
-# measure on r truncated coordinates, of the j-fold Birkhoff sum (under the
-# shifted adding machine) of the excess return time: the spacers collected
-# while scanning coordinates up to the first non-full one.  Samples needing
-# coordinates beyond the truncation land in the tail mass.
+# Both evaluation orders below count the points of r truncated coordinates by
+# the j-fold Birkhoff sum (under the shifted adding machine) of the excess
+# return time: the spacers collected while scanning coordinates up to the
+# first non-full one.  Points needing coordinates beyond the truncation count
+# in the tail.  `_window_distribution` alone divides by the point count, which
+# makes the exact law under the product-uniform measure.
 
 
 SLIDE = 1 << 16  # starts per big-int segment of the enumeration
@@ -278,7 +276,8 @@ def _window_distribution_enum(window, j, cap):
     forms every start's sum in O(log j) shifted adds.  No slot carries: every
     partial sum covers at most j levels, and a slot holds j times the largest
     excess.  A segment holds max(SLIDE, j) + j - 1 slots, so each level is read
-    at most twice, and memory grows with j past SLIDE."""
+    at most twice, and memory grows with j past SLIDE.  Returns (counts by
+    value, tail count, number of points), as the recursion does."""
     size = prod(p for p, _ in window)
     if size > cap:
         raise Refusal(f"enumerating {size} points exceeds the cap; raise it to at least {size}")
@@ -301,16 +300,7 @@ def _window_distribution_enum(window, j, cap):
         sums = (total & (1 << (hi - lo) * bits) - 1).to_bytes((hi - lo) * width, sys.byteorder)
         counts.update(memoryview(sums).cast(code) if code else (
             int.from_bytes(sums[i:i + width], sys.byteorder) for i in range(0, len(sums), width)))
-    masses = {v: Fraction(c, size) for v, c in counts.items()}
-    return IntegerDistribution.from_map(masses, Fraction(size - n, size))
-
-
-def _count_full_hits(c, w, p):
-    """How many of c, c+1, ..., c+w-1 are congruent to p-1 mod p."""
-    last = c + w - 1
-    if last < p - 1:
-        return 0
-    return (last - (p - 1)) // p + 1
+    return counts, size - n, size
 
 
 def _cyclic_sum(row, c, w):
@@ -329,44 +319,45 @@ def _window_distribution_conv(window, j):
     deterministic amount from this coordinate, and exactly the iterates that
     land on the full column recurse into the remaining coordinates -- in
     carry order, so their contribution is a w'-fold sum one coordinate deeper.
-    """
+    Those iterates number (c + w) // p - c // p, that is (c + w) // p as
+    0 <= c < p.  Level k counts the prod(p for p, _ in window[k:]) points of
+    coordinates k on: all at 0 once no sum is pending, one in the tail past
+    the truncation.  Returns (counts by value, tail count, number of points)."""
 
     @lru_cache(maxsize=None)
     def level(k, w):
         if w == 0:
-            return (((0, Fraction(1)),), Fraction(0))
+            return {0: prod(p for p, _ in window[k:])}, 0
         if k == len(window):
-            return ((), Fraction(1))
+            return {}, 1
         p, row = window[k]
         acc = {}
-        tail = Fraction(0)
+        tail = 0
         for c in range(p):
             base = _cyclic_sum(row, c, w)
-            sub_masses, sub_tail = level(k + 1, _count_full_hits(c, w, p))
-            for v, m in sub_masses:
-                key = v + base
-                acc[key] = acc.get(key, Fraction(0)) + Fraction(m, p)
-            tail += Fraction(sub_tail, p)
-        return tuple(sorted(acc.items())), tail
+            sub_counts, sub_tail = level(k + 1, (c + w) // p)
+            for v, m in sub_counts.items():
+                acc[v + base] = acc.get(v + base, 0) + m
+            tail += sub_tail
+        return acc, tail
 
-    masses, tail = level(0, j)
-    return IntegerDistribution(masses, tail)
+    return (*level(0, j), prod(p for p, _ in window))
 
 
 def _window_distribution(window, j, method, cap=DEFAULT_CAP):
     if j < 1:
         raise InputError("need j >= 1")
     if method == "convolution":
-        dist = _window_distribution_conv(tuple(window), j)
+        counts, tail, size = _window_distribution_conv(tuple(window), j)
     elif method == "enumerate":
-        dist = _window_distribution_enum(tuple(window), j, cap)
+        counts, tail, size = _window_distribution_enum(tuple(window), j, cap)
     else:
         raise InputError(f"unknown method {method!r}")
     # exact tail guarantee inherited from the per-coordinate 1/p_n <= 1/2
-    bound = Fraction(j, 2 ** len(window))
-    if dist.tail > bound:
-        raise Refusal(f"{method} tail {dist.tail} exceeds the guaranteed bound {bound}")
-    return dist
+    tail, bound = Fraction(tail, size), Fraction(j, 2 ** len(window))
+    if tail > bound:
+        raise Refusal(f"{method} tail {tail} exceeds the guaranteed bound {bound}")
+    return IntegerDistribution.from_map({v: Fraction(c, size) for v, c in counts.items()}, tail)
 
 
 def stage_window(params: ConstructionParams, base, r):

@@ -70,10 +70,13 @@ def test_freq_maxlen_stops_at_the_block_and_the_cap(tmp_path, capsys):
     freq = ["freq", "--config", "chacon:depth=30", "--stage", "30", "--maxlen", "4",
             "--out", str(tmp_path)]
     assert main(freq + ["--cap", "98"]) == 0
+    capsys.readouterr()
     assert main(freq + ["--cap", "97"]) == 3
+    assert capsys.readouterr().err == (
+        "refused: the words of lengths 1..4 hold more symbols in all than the cap 97 on the "
+        "table's output; lower --maxlen or raise --cap\n")
     # past the cap's bit length that total is never formed: at maxlen 15000
     # its digits exceed Python's int-to-str limit, and at 2e9 forming it takes seconds
-    capsys.readouterr()
     for maxlen in ("15000", "2000000000"):
         start = time.perf_counter()
         assert main(["freq", "--config", "chacon:depth=60", "--stage", "60", "--maxlen", maxlen,

@@ -178,7 +178,6 @@ def test_distribution_validation():
     assert d.support() == (0, 2)
     assert d.mass(2) == Fraction(1, 4) and d.mass(5) == 0
     assert d.mass_at_least(1) == Fraction(1, 4)
-    assert d.shift(3).support() == (3, 5)
     assert d.csv_rows()[-1] == ("TAIL", 1, 4)
 
 
@@ -222,7 +221,8 @@ def _point_walk_distribution(params, n, j, depth):
 @pytest.mark.parametrize("big", [3, 300, 70_000, 2**70])
 def test_enumeration_equals_point_walk(rng, big, monkeypatch):
     # spacers past 255 and 65535 widen the table's slots; past 2^64 they take 16 bytes.
-    # SLIDE = 1 and 3 split the starts into many segments, and j > SLIDE lengthens them
+    # SLIDE = 1 and 3 split the starts into many segments, and j > SLIDE lengthens them;
+    # the recursion reads no SLIDE, so it runs once per j
     for depth in (1, 2, 3, 4) * 6:
         n = rng.randint(0, 2)
         cuts = tuple(rng.randint(2, 4) for _ in range(n + depth))
@@ -233,6 +233,7 @@ def test_enumeration_equals_point_walk(rng, big, monkeypatch):
         for j in sorted({1, 2, 3, 5, size - 1, size, size + 3}):
             expected = _point_walk_distribution(params, n, j, depth)
             assert expected.tail == Fraction(min(j, size), size)
+            assert cocycle_distribution(params, n, j, depth, method="convolution") == expected
             for slide in (1, 3, 2**16):
                 monkeypatch.setattr(odometer, "SLIDE", slide)
                 assert cocycle_distribution(params, n, j, depth, method="enumerate") == expected
@@ -277,9 +278,10 @@ def test_distribution_insufficient_depth():
 
 def test_tail_bound_violation_raises(monkeypatch):
     # an evaluation order that leaves more tail than j * 2^-depth must be
-    # refused by an explicit check (an assert would vanish under python -O)
+    # refused by an explicit check (an assert would vanish under python -O):
+    # one of two points in the tail is 1/2, over the bound 1/8
     def too_much_tail(window, j):
-        return IntegerDistribution(((0, Fraction(1, 2)),), Fraction(1, 2))
+        return {0: 1}, 1, 2
 
     monkeypatch.setattr(odometer, "_window_distribution_conv", too_much_tail)
     with pytest.raises(Refusal, match="exceeds the guaranteed bound"):
