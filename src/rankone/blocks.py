@@ -22,7 +22,7 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import partial, reduce
 from itertools import accumulate, compress, count, islice, repeat
 from operator import add, floordiv, ge, getitem, le, mod, not_, sub
 
@@ -40,41 +40,49 @@ def _check_word(word):
         raise InputError("words must be non-empty strings over {0,1}")
 
 
-_MASKS = {"0": str.maketrans("01#", "100"), "1": str.maketrans("01#", "010")}
+# starts per chunk of `count_overlapping`; `sarnak` takes it as the steps per
+# accumulator segment and the numbers per sieve segment
+SEGMENT = 1 << 16
+
+_MATCH = {s: bytes(255 * (i == ord(s)) for i in range(256)) for s in "01"}
 
 
-def _hit_mask(text, w1, w2, lag):
-    """Big int with bit len(text) - 1 - i set where `count_overlapping` counts
-    start i; `text` is not empty."""
-    mask = {c: int(text.translate(_MASKS[c]), 2) for c in set(w1 + w2)}
-    hits = mask[w1[0]]
-    for k, c in [*enumerate(w1[1:], 1), *enumerate(w2, lag)]:
-        hits &= mask[c] << k
-    return hits
+def _and(a, b):
+    """Bytewise AND of two byte strings of one length."""
+    return (int.from_bytes(a, "little") & int.from_bytes(b, "little")).to_bytes(len(a), "little")
+
+
+def _flags(text, w1, w2, lag, start, size, stride=1):
+    """The one word-matching kernel: byte i is 0xff where `w1` sits at
+    start + stride * i of `text` and `w2` sits `lag` symbols later, else 0,
+    for i < size.  `text` must hold every letter read; "#" matches neither
+    symbol.  Each letter reads only its own slice of `text`, one symbol per
+    start, and `bytes.translate` turns it into flags; the letters' flags are
+    ANDed."""
+    end = stride * (size - 1) + 1
+    return reduce(_and, [text[k : k + end : stride].encode().translate(_MATCH[c])
+                         for k, c in [*enumerate(w1, start), *enumerate(w2, start + lag)]])
 
 
 def count_overlapping(text, w1, w2="", lag=0):
     """Positions i of `text` with `w1` at i and `w2` at i + lag, both inside
     `text`; overlaps included.  With the default empty `w2` this counts the
-    occurrences of `w1`.
-
-    Bit-parallel: each symbol c in {0, 1} has a big-int mask whose bit
-    len(text) - 1 - i is set where text[i] == c, so "#" sets neither mask and
-    matches nothing.  The mask of the letter at offset k from the start,
-    shifted left by k, flags start i at bit len(text) - 1 - i; its low k bits
-    are clear, so windows running past the end drop out of the AND."""
-    return _hit_mask(text, w1, w2, lag).bit_count() if text else 0
-
-
-_BITS = bytes.maketrans(b"01", b"\0\1")
+    occurrences of `w1`.  The kernel's flags are counted SEGMENT starts at a
+    time, so no buffer longer than a chunk is built beside `text`."""
+    if lag < 0:
+        raise InputError("the lag must be >= 0")
+    starts = len(text) - max(len(w1), lag + len(w2) if w2 else 0) + 1
+    return sum(_flags(text, w1, w2, lag, a, min(SEGMENT, starts - a)).count(255)
+               for a in range(0, starts, SEGMENT))
 
 
 def _hit_table(text, w1, w2, lag):
     """One byte per position of `text`: 1 at each start `count_overlapping`
-    counts, else 0."""
-    if not text:
-        return b""
-    return format(_hit_mask(text, w1, w2, lag), f"0{len(text)}b").encode().translate(_BITS)
+    counts, else 0; the kernel's flags as 0/1 bytes, padded with 0s to
+    len(text)."""
+    starts = max(len(text) - max(len(w1), lag + len(w2) if w2 else 0) + 1, 0)
+    hits = _flags(text, w1, w2, lag, 0, starts).translate(bytes(255) + b"\1")
+    return hits + bytes(len(text) - starts)
 
 
 def _get(table, indexes):

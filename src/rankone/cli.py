@@ -572,7 +572,7 @@ def build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seed=False, orbit=False):
+    def common(p, seed=False, orbit=False, cap="materialization cap"):
         p.add_argument(
             "--config",
             required=True,
@@ -581,7 +581,7 @@ def build_parser():
         )
         p.add_argument("--out", default=None, help=f"output directory (default ${ENV_OUT} or .)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--cap", type=int, default=DEFAULT_CAP, help="materialization cap")
+        p.add_argument("--cap", type=int, default=DEFAULT_CAP, help=cap)
         if seed:
             p.add_argument("--seed", type=int, default=0)
         if orbit:
@@ -600,13 +600,15 @@ def build_parser():
     p.add_argument("--length", type=int)
     p.set_defaults(func=cmd_blocks)
 
-    p = common(sub.add_parser("freq", help="exact word frequencies in a block"))
+    p = common(sub.add_parser("freq", help="exact word frequencies in a block"),
+               cap="bound on the symbols of the --maxlen table's words in all")
     p.add_argument("--stage", type=int, required=True)
     p.add_argument("--words", help="comma-separated words")
     p.add_argument("--maxlen", type=int, help="or: all words up to this length (default 3)")
     p.set_defaults(func=cmd_freq)
 
-    p = common(sub.add_parser("cocycle", help="law of the centered cocycle sums at a stage"))
+    p = common(sub.add_parser("cocycle", help="law of the centered cocycle sums at a stage"),
+               cap="bound on the points --method enumerate visits")
     p.add_argument("-n", type=int, required=True)
     p.add_argument("-j", type=int, default=1)
     p.add_argument("--depth", type=int, default=12)

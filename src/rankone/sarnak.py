@@ -7,9 +7,10 @@ held.  A segment's Mobius values come as signed bytes from one sieve
 segment, decided by byte sums of base-prime weights (see `mobius_sieve`),
 and its orbit symbols from one layout descent of an `OrbitWord`, so
 horizons far beyond the materialization cap are feasible.  The cylinder and
-prime-pair accumulators turn a segment's stretch of the orbit word into a
-byte string of hit flags and count each grid piece with `bytes.count`, so
-their sums are integer counts combined with the center at grid points only.
+prime-pair accumulators take a segment's hit flags, one byte per step, from
+the word kernel that also serves the exact counts and the sampler's tables
+(`blocks._flags`), and count each grid piece with `bytes.count`, so their
+sums are integer counts combined with the center at grid points only.
 Partial averages are exact (rationals for rational-valued observables) and
 emitted on a geometric grid of horizons.  Decay is reported, never
 "verified": the vanishing of these averages is an asymptotic statement, so
@@ -34,7 +35,7 @@ from itertools import compress, cycle
 from math import gcd, isqrt
 from operator import add, getitem
 
-from .blocks import BlockDag, _check_word
+from .blocks import SEGMENT, BlockDag, _and, _check_word, _flags
 from .errors import InputError, RangeError
 
 __all__ = [
@@ -49,12 +50,8 @@ __all__ = [
     "eigen_suspension_averages",
 ]
 
-# steps per accumulator segment, and numbers per sieve segment, the first included
-SEGMENT = 1 << 16
-
 # byte tables: a Mobius value is stored as its low byte, so -1 is 0xff
 _NEGATE = bytes.maketrans(b"\x01\xff", b"\xff\x01")
-_MATCH = {s: bytes(255 * (i == ord(s)) for i in range(256)) for s in "01"}
 
 
 def mobius_sieve(limit):
@@ -272,24 +269,9 @@ def _signed_sum(data, start=0, end=None):
     return data.count(1, start, end) - data.count(255, start, end)
 
 
-def _and(a, b):
-    """Bytewise AND of two byte strings of one length."""
-    return (int.from_bytes(a, "little") & int.from_bytes(b, "little")).to_bytes(len(a), "little")
-
-
 def _xor(a, b):
     """Bytewise XOR of two byte strings of one length."""
     return (int.from_bytes(a, "little") ^ int.from_bytes(b, "little")).to_bytes(len(a), "little")
-
-
-def _hit_flags(word, cylinder, count, stride=1):
-    """Byte i is 0xff where `cylinder` occurs in `word` at stride * i and 0
-    elsewhere, for i < count; the word must reach stride * (count - 1) +
-    |cylinder| symbols."""
-    data = word.encode("ascii")
-    end = stride * (count - 1) + 1
-    return reduce(_and, (data[k : k + end : stride].translate(_MATCH[symbol])
-                         for k, symbol in enumerate(cylinder)))
 
 
 def cylinder_sarnak_averages(word, cylinder, center, horizon, floors=1, start_floor=0):
@@ -310,7 +292,7 @@ def cylinder_sarnak_averages(word, cylinder, center, horizon, floors=1, start_fl
     for (lo, hi, pieces), signs in zip(_steps(horizon, SEGMENT), _mobius_segments(horizon)):
         first = (start_floor + lo) // floors
         span = (start_floor + hi - 1) // floors - first + 1
-        hits = _hit_flags(word[first : first + span + len(cylinder) - 1], cylinder, span)
+        hits = _flags(word[first : first + span + len(cylinder) - 1], cylinder, "", 0, 0, span)
         # byte i of `stepped` flags a hit at the word position step lo + i reads
         stepped = bytearray(hi - lo)
         for floor in range(min(floors, hi - lo)):
@@ -347,8 +329,8 @@ def prime_power_averages(word, cylinder, center, p, q, horizon):
     both = either = 0
     for lo, hi, pieces in _steps(horizon, max(1, SEGMENT // max(p, q))):
         # byte i flags a hit at word position p * (lo + i), resp. q * (lo + i)
-        hits_p, hits_q = (_hit_flags(word[s * lo : s * (hi - 1) + len(cylinder)], cylinder,
-                                     hi - lo, s) for s in (p, q))
+        hits_p, hits_q = (_flags(word[s * lo : s * (hi - 1) + len(cylinder)], cylinder, "", 0,
+                                 0, hi - lo, s) for s in (p, q))
         hits_pq = _and(hits_p, hits_q)
         for a, b, point in pieces:
             both += hits_pq.count(255, a, b)

@@ -160,18 +160,26 @@ def _windows(text, word):
 
 
 # "#" matches no word; lags reach past the end of the text and words may be
-# longer than it.  The last example is longer than the default int/str digit
-# limit of 4,300: parsing a mask in base 2 is exempt from that limit, which the
-# test pins by running at the lowest limit the interpreter accepts.
+# longer than it.  The counts are summed over chunks of SEGMENT starts, so
+# each case runs with chunks of 1 and 3 starts as well as the default, and
+# starts on both sides of a chunk edge are counted.  The last example is
+# longer than the default int/str digit limit of 4,300: no step of a count
+# converts between ints and decimal strings, which the test pins by running
+# at the lowest limit the interpreter accepts.  A negative lag is refused.
 @given(st.text("01#", max_size=40) | st.text("#", max_size=8),
-       st.text("01", min_size=1, max_size=6), st.text("01", max_size=6), st.integers(0, 50))
+       st.text("01", min_size=1, max_size=6), st.text("01", max_size=6), st.integers(-2, 50))
 @example("", "0", "", 0)
 @example("###", "1", "1", 1)
 @example("0110", "01", "10", 3)
 @example("01", "0101", "", 0)
+@example("0110", "01", "10", -1)
 @example("0010#1101" * 600, "01", "10", 3001)
 @settings(max_examples=400, deadline=None)
 def test_count_overlapping_equals_brute_force_pair_count(text, w1, w2, lag):
+    if lag < 0:
+        with pytest.raises(InputError):
+            count_overlapping(text, w1, w2, lag)
+        return
     lag = lag if w2 else 0  # an empty w2 counts the occurrences of w1
     expected = sum(
         text[i : i + len(w1)] == w1 and text[i + lag : i + lag + len(w2)] == w2
@@ -181,7 +189,9 @@ def test_count_overlapping_equals_brute_force_pair_count(text, w1, w2, lag):
     if limit is not None:
         sys.set_int_max_str_digits(640)
     try:
-        assert count_overlapping(text, w1, w2, lag) == expected
+        for chunk in (1, 3, blocks.SEGMENT):
+            with patch.object(blocks, "SEGMENT", chunk):
+                assert count_overlapping(text, w1, w2, lag) == expected
     finally:
         if limit is not None:
             sys.set_int_max_str_digits(limit)

@@ -315,6 +315,17 @@ def test_cocycle_enumerate_beyond_cap(tmp_path, capsys):
     assert main(argv + ["--cap", str(3**12)]) == 0
 
 
+def test_cap_help_says_what_the_cap_bounds():
+    # nothing is materialized under cocycle's or freq's cap, so their help
+    # says what it bounds; the other commands keep "materialization cap"
+    parser = build_parser()
+    commands = parser._subparsers._group_actions[0].choices
+    helps = {name: cmd._option_string_actions["--cap"].help for name, cmd in commands.items()}
+    assert helps.pop("cocycle") == "bound on the points --method enumerate visits"
+    assert helps.pop("freq") == "bound on the symbols of the --maxlen table's words in all"
+    assert set(helps.values()) == {"materialization cap"}
+
+
 @pytest.mark.parametrize(
     "argv, name, rows",
     [
