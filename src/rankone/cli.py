@@ -65,6 +65,11 @@ def _float17(x):
     return f"{float(x):.17g}"
 
 
+def _observed(est):
+    """CSV field of a correlation estimate's value: exact as num/den, sampled as a float."""
+    return _rat(est.value) if est.method == "EXACT_SCAN" else _float17(est.value)
+
+
 def _parse_fraction(text):
     try:
         return Fraction(text)
@@ -368,7 +373,7 @@ def cmd_correlate(run):
         sample_budget=run.args.samples,
         seed=run.args.seed,
     )
-    value = _rat(est.value) if est.method == "EXACT_SCAN" else _float17(est.value)
+    value = _observed(est)
     run.write_csv(
         "correlate.csv",
         ["w1", "w2", "lag", "stage", "value", "method", "samples", "ci", "seed"],
@@ -397,24 +402,26 @@ def _write_report(run, name, rows):
         [
             (
                 row.family,
-                row.stage,
+                est.stage,
                 row.label,
-                row.lag,
-                row.w1,
-                row.w2,
-                _rat(row.observed) if row.method == "EXACT_SCAN" else _float17(row.observed),
+                est.lag,
+                est.w1,
+                est.w2,
+                _observed(est),
                 _rat(row.predicted),
                 _float17(row.abs_error),
-                _float17(row.ci) if row.ci is not None else "",
-                row.method,
-                row.seed if row.seed is not None else "",
+                _float17(row.ci),
+                est.method,
+                est.seed if est.seed is not None else "",
             )
             for row in rows
+            for est in [row.estimate]
         ],
     )
     for row in rows:
+        est = row.estimate
         print(
-            f"{row.w1},{row.w2} lag={row.lag}: observed {float(row.observed):.6f} "
+            f"{est.w1},{est.w2} lag={est.lag}: observed {float(est.value):.6f} "
             f"predicted {float(row.predicted):.6f} |err| {row.abs_error:.6f}"
         )
 

@@ -16,7 +16,7 @@ prefix-based heuristics and are labelled as such.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 

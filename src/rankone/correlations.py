@@ -93,20 +93,14 @@ def correlation(dag, w1, w2, lag, stage, method="exact", sample_budget=None, see
 @dataclass(frozen=True)
 class LimitCheckRow:
     family: str
-    stage: int
     label: str  # j or alpha being tested
-    lag: int
-    w1: str
-    w2: str
-    observed: Fraction
+    estimate: CorrelationEstimate  # the observed correlation: stage, lag, words, method, seed
     predicted: Fraction
-    ci: float
-    method: str = "EXACT_SCAN"
-    seed: int = None
+    ci: float  # katok: Hoeffding half-width; verify-pj: declared tail; rigid: 0.0
 
     @property
     def abs_error(self):
-        return float(abs(self.observed - self.predicted))
+        return float(abs(self.estimate.value - self.predicted))
 
 
 def _word_margin(pairs, extra):
@@ -151,12 +145,8 @@ def verify_weak_limit_prediction(dag, stage, j, pairs, depth=12, scan_stage=None
     return [
         LimitCheckRow(
             dag.params.family,
-            scan,
             f"j={j}",
-            lag,
-            w1,
-            w2,
-            correlation(dag, w1, w2, lag, scan).value,
+            correlation(dag, w1, w2, lag, scan),
             sum(
                 (mass * correlation(dag, w2, w1, v, scan).value for v, mass in dist.masses),
                 Fraction(0),
@@ -190,12 +180,8 @@ def verify_rigid_one_spacer(dag, alpha, stage, pairs, powers=(1,), scan_stage=No
     return [
         LimitCheckRow(
             params.family,
-            scan,
             f"alpha={alpha},j={j}",
-            j * base_lag,
-            w1,
-            w2,
-            correlation(dag, w1, w2, j * base_lag, scan).value,
+            correlation(dag, w1, w2, j * base_lag, scan),
             # the unit-shift side runs through the inverse: words swap roles
             j * alpha * correlation(dag, w2, w1, 1, scan).value
             + (1 - j * alpha) * correlation(dag, w1, w2, 0, scan).value,
@@ -250,6 +236,7 @@ def verify_half_spacer_mixing(
     growing = all(a < b for a, b in zip(ratios, ratios[1:]))
     lag = shift_count * h
     scan = _scan_stage_for(dag, lag, _word_margin(pairs, 2), scan_stage, deepest=True)
+    label = f"alpha={alpha}" + ("" if growing else " [growth hypothesis unmet on prefix]")
     rows = []
     for w1, w2 in pairs:
         freq1 = dag.frequency(w1, scan).frequency
@@ -258,19 +245,5 @@ def verify_half_spacer_mixing(
         observed = correlation(
             dag, w1, w2, lag, scan, method="sampled", sample_budget=sample_budget, seed=seed
         )
-        rows.append(
-            LimitCheckRow(
-                params.family,
-                scan,
-                f"alpha={alpha}" + ("" if growing else " [growth hypothesis unmet on prefix]"),
-                lag,
-                w1,
-                w2,
-                observed.value,
-                predicted,
-                observed.ci,
-                "SAMPLED",
-                seed,
-            )
-        )
+        rows.append(LimitCheckRow(params.family, label, observed, predicted, observed.ci))
     return rows

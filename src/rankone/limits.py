@@ -133,6 +133,9 @@ def detect_stabilizing(params, window=(2, 8), search_range=None):
     if left < 0 or right < 1:
         raise InputError("window must extend left >= 0 and right >= 1 stages")
     if search_range is None:
+        if params.depth < left + right + 1:
+            raise RangeError(f"a window of {left} stages left and {right} right needs a "
+                             f"construction of depth >= {left + right + 1}, not {params.depth}")
         search_range = (left + 1, params.depth - right)
     n0, n1 = search_range
     if n0 - left < 1 or n1 + right > params.depth:

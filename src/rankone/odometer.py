@@ -22,7 +22,7 @@ from itertools import accumulate
 from math import prod
 
 from .blocks import DEFAULT_CAP
-from .construction import ConstructionParams, heights
+from .construction import ConstructionParams
 from .errors import InputError, RangeError, Refusal
 
 __all__ = [
@@ -271,13 +271,12 @@ def _window_distribution_enum(window, j, cap):
     the starts that reach the all-full last level, exactly the last min(j, D)
     of the D points, land in the tail.  Windows of more than `cap` points are
     refused before the level table is built.  The starts run in segments of
-    max(SLIDE, j), each read as one int; the sums of 2k consecutive slots are
-    those of k slots plus themselves shifted k slots down, so binary doubling
-    forms every start's sum in O(log j) shifted adds.  No slot carries: every
-    partial sum covers at most j levels, and a slot holds j times the largest
-    excess.  A segment holds max(SLIDE, j) + j - 1 slots, so each level is read
-    at most twice, and memory grows with j past SLIDE.  Returns (counts by
-    value, tail count, number of points), as the recursion does."""
+    max(SLIDE, j), each read as one int; j - 1 adds of that int shifted down
+    1..j-1 slots form every start's sum at once.  No slot carries: a slot holds
+    j times the largest excess.  A segment holds max(SLIDE, j) + j - 1 slots,
+    so each level is read at most twice, and memory grows with j past SLIDE.
+    Returns (counts by value, tail count, number of points), as the recursion
+    does."""
     size = prod(p for p, _ in window)
     if size > cap:
         raise Refusal(f"enumerating {size} points exceeds the cap; raise it to at least {size}")
@@ -289,13 +288,9 @@ def _window_distribution_enum(window, j, cap):
     for lo in range(0, n, step):
         hi = min(lo + step, n)
         run = int.from_bytes(memoryview(table)[lo * width:(hi + j - 1) * width], "little")
-        total, span = run, 1  # slot t of total sums the levels t..t+span-1
-        for bit in bin(j)[3:]:
-            total += total >> span * bits
-            span *= 2
-            if bit == "1":
-                total += run >> span * bits
-                span += 1
+        total = run  # slot t of total sums the levels t..t+j-1
+        for k in range(1, j):
+            total += run >> k * bits
         # the sums of starts lo..hi-1, in native byte order for the cast
         sums = (total & (1 << (hi - lo) * bits) - 1).to_bytes((hi - lo) * width, sys.byteorder)
         counts.update(memoryview(sums).cast(code) if code else (

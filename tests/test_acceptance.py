@@ -417,7 +417,7 @@ def test_criterion_08_weak_limit_correlations():
     rows = verify_weak_limit_prediction(BlockDag(chacon(30)), 13, 1, pairs, depth=12)
     worst = max(row.abs_error for row in rows)
     ok = worst <= 0.02
-    zero_row = next(r for r in rows if (r.w1, r.w2) == ("0", "0"))
+    zero_row = next(r for r in rows if (r.estimate.w1, r.estimate.w2) == ("0", "0"))
     ok = ok and abs(zero_row.predicted - Fraction(1, 2)) <= Fraction(1, 100)
     report(
         "criterion 8: Chacon lag-h weak limit within 0.02",
@@ -438,7 +438,7 @@ def test_criterion_09_rigid_one_spacer_family():
     report(
         "criterion 9: rigidity limit (p_n = 2n+2, alpha = 1/2) within 0.03",
         worst <= 0.03,
-        f"worst |err| {worst:.2e} at lag {rows[0].lag}",
+        f"worst |err| {worst:.2e} at lag {rows[0].estimate.lag}",
     )
 
 
@@ -456,7 +456,7 @@ def test_criterion_10_half_spacer_mixing():
         seed=20260810,
     )
     (row,) = rows
-    ok = row.abs_error <= 0.05 and row.method == "SAMPLED"
+    ok = row.abs_error <= 0.05 and row.estimate.method == "SAMPLED"
     report(
         "criterion 10: mixing limit (p = (100, 30000), shift 26) within 0.05",
         ok,

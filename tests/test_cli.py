@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -14,8 +15,12 @@ from hypothesis import strategies as st
 import rankone
 from rankone.blocks import BlockDag, cylinder_words
 from rankone.cli import REPORT_HEADER, Run, build_parser, main, replay_manifest, run_argv
-from rankone.construction import load_construction
-from rankone.correlations import verify_rigid_one_spacer, verify_weak_limit_prediction
+from rankone.construction import katok, load_construction
+from rankone.correlations import (
+    verify_half_spacer_mixing,
+    verify_rigid_one_spacer,
+    verify_weak_limit_prediction,
+)
 from rankone.odometer import cocycle_distribution
 
 
@@ -326,22 +331,35 @@ def test_cap_help_says_what_the_cap_bounds():
     assert set(helps.values()) == {"materialization cap"}
 
 
+def _library_cells(row):
+    """The report cells a library row fixes whatever its method: all but
+    observed, ci, method and seed."""
+    est = row.estimate
+    return {"family": row.family, "stage": str(est.stage), "j_or_alpha": row.label,
+            "lag": str(est.lag), "W1": est.w1, "W2": est.w2,
+            "predicted": f"{row.predicted.numerator}/{row.predicted.denominator}",
+            "abs_error": f"{row.abs_error:.17g}"}
+
+
 @pytest.mark.parametrize(
-    "argv, name, rows",
+    "argv, name, rows, ci",
     [
         (["verify-pj", "--config", "chacon:depth=20", "-n", "6", "--cylinders", "0:0,0:1"],
          "verify_pj.csv",
          lambda: verify_weak_limit_prediction(
-             BlockDag(load_construction("chacon:depth=20")), 6, 1, [("0", "0"), ("0", "1")])),
+             BlockDag(load_construction("chacon:depth=20")), 6, 1, [("0", "0"), ("0", "1")]),
+         # the declared tail mass of the law at the default depth 12
+         lambda: cocycle_distribution(load_construction("chacon:depth=20"), 6, 1, 12).tail),
         (["rigid-chacon", "--config", "generalized_chacon:depth=6", "--alpha", "1/2", "-n", "3"],
          "rigid_chacon.csv",
          lambda: verify_rigid_one_spacer(
              BlockDag(load_construction("generalized_chacon:depth=6")), Fraction(1, 2), 3,
-             [("0", "0")])),
+             [("0", "0")]),
+         lambda: 0),
     ],
     ids=["verify-pj", "rigid-chacon"],
 )
-def test_exact_reports_match_library(tmp_path, argv, name, rows):
+def test_exact_reports_match_library(tmp_path, argv, name, rows, ci):
     code, _ = run(argv, tmp_path)
     assert code == 0
     header, *body = read_csv(tmp_path / name)
@@ -349,9 +367,39 @@ def test_exact_reports_match_library(tmp_path, argv, name, rows):
     expected = rows()
     assert len(body) == len(expected)
     for line, row in zip(body, expected):
-        assert line[REPORT_HEADER.index("method")] == "EXACT_SCAN"
-        observed = line[REPORT_HEADER.index("observed")]
-        assert observed == f"{row.observed.numerator}/{row.observed.denominator}"
+        value = row.estimate.value
+        assert row.estimate.method == "EXACT_SCAN" and row.estimate.seed is None
+        assert dict(zip(header, line)) == {
+            **_library_cells(row),
+            "observed": f"{value.numerator}/{value.denominator}",
+            "ci": f"{float(ci()):.17g}",
+            "method": "EXACT_SCAN",
+            "seed": "",
+        }
+
+
+def test_sampled_report_matches_library(tmp_path):
+    config = tmp_path / "katok.json"
+    config.write_text(json.dumps({"family": "katok", "cuts": [100, 30000]}))
+    code, _ = run(["katok", "--config", str(config), "--alpha", "1/2", "-n", "1", "--ell", "26",
+                   "--cylinders", "0:1,0", "--samples", "2000", "--seed", "5"], tmp_path)
+    assert code == 0
+    header, *body = read_csv(tmp_path / "katok.csv")
+    assert header == REPORT_HEADER
+    expected = verify_half_spacer_mixing(BlockDag(katok(cuts=(100, 30000))), Fraction(1, 2), 1,
+                                         26, [("0", "1"), ("0", "0")], sample_budget=2000, seed=5)
+    assert len(body) == len(expected) == 2
+    half_width = math.sqrt(math.log(2 / 0.05) / (2 * 2000))  # Hoeffding, 95%
+    for line, row in zip(body, expected):
+        est = row.estimate
+        assert est.method == "SAMPLED" and est.seed == 5 and est.value.denominator <= 2000
+        assert dict(zip(header, line)) == {
+            **_library_cells(row),
+            "observed": f"{float(est.value):.17g}",
+            "ci": f"{half_width:.17g}",
+            "method": "SAMPLED",
+            "seed": "5",
+        }
 
 
 def test_readme_verify_pj_rows(tmp_path):
@@ -559,9 +607,12 @@ MALFORMED_MESSAGES = {
     "correlate-negative-seed": "seed must be >= 0",
     "katok-negative-seed": "seed must be >= 0",
     "profile-range-reversed": "empty search range [9, 4]",
-    "profile-default-range-empty": "empty search range [3, -3]",
-    "certify-prefix-too-short": "empty search range [5, 3]",
-    "pj-prefix-too-short": "empty search range [5, 3]",
+    "profile-default-range-empty": "needs a construction of depth >= 16, not 10",
+    "certify-prefix-too-short": "4 stages left and 7 right needs a construction of depth >= 12",
+    "pj-prefix-too-short": "4 stages left and 7 right needs a construction of depth >= 12",
+    "certify-katok-default-depth": "needs a construction of depth >= 18, not 8",
+    "pj-depth-past-prefix": "needs a construction of depth >= 18, not 10",
+    "profile-window-past-prefix": "needs a construction of depth >= 16, not 12",
     "katok-scan-stage-too-shallow": "stage 1 too shallow for lag 26",
     "classify-max-order-1": "max order 1 is below 2",
     "eigen-max-order-1": "max order 1 is below 2",
@@ -630,11 +681,15 @@ MALFORMED_MESSAGES = {
         ["katok", "--config", "katok:depth=4", "--alpha", "1/2", "-n", "1", "--ell", "2",
          "--samples", "10", "--seed", "-1"],
         ["profile", "--config", "chacon:depth=30", "--range", "9", "4"],
-        # the default range (left + 1, depth - right) is (3, -3)
+        # no range given: the default (left + 1, depth - right) is empty below depth
+        # left + right + 1, and the message names that depth
         ["profile", "--config", "chacon:depth=10", "--window", "2", "13"],
-        # auto-derived profiles search (5, depth - depth_needed - 1): empty for depth 10
+        # auto-derived profiles use the window (4, --depth + 1): depth 12 for --depth 6
         ["certify", "--config", "chacon:depth=10", "--pairs", "1..3", "--depth", "6"],
         ["pj", "--config", "chacon:depth=10", "-j", "1", "--depth", "6"],
+        ["certify", "--config", "katok:depth=8"],
+        ["pj", "--config", "chacon:depth=10", "--depth", "12"],
+        ["profile", "--config", "chacon:depth=12", "--window", "2", "13"],
         # a requested scan stage whose block cannot hold the lag, as verify-pj refuses it
         ["katok", "--config", "{tmp}/katok.json", "--alpha", "1/2", "-n", "1", "--ell", "26",
          "--scan-stage", "1"],
@@ -657,7 +712,8 @@ MALFORMED_MESSAGES = {
          "cylinders-empty-second", "sarnak-splice-offset", "sarnak-center-and-value",
          "katok-not-half-spacered", "correlate-negative-seed", "katok-negative-seed",
          "profile-range-reversed", "profile-default-range-empty", "certify-prefix-too-short",
-         "pj-prefix-too-short", "katok-scan-stage-too-shallow", "classify-max-order-1",
+         "pj-prefix-too-short", "certify-katok-default-depth", "pj-depth-past-prefix",
+         "profile-window-past-prefix", "katok-scan-stage-too-shallow", "classify-max-order-1",
          "eigen-max-order-1"],
 )
 def test_malformed_input_exits_2(tmp_path, capsys, request, argv):

@@ -296,7 +296,7 @@ def test_weak_limit_prediction_zero_spacer():
     vnk = von_neumann_kakutani(16)
     rows = verify_weak_limit_prediction(BlockDag(vnk), 6, 1, [("0", "0")], depth=8)
     (row,) = rows
-    assert row.observed == 1 and row.abs_error < 0.01
+    assert row.estimate.value == 1 and row.abs_error < 0.01
 
 
 def test_weak_limit_prediction_chacon_small():
@@ -325,7 +325,7 @@ def test_rigid_lag_structure():
     rows = verify_rigid_one_spacer(gc, Fraction(1, 2), 5, [("0", "0")], powers=(1,))
     (row,) = rows
     # floor(alpha * p_5) * h_5 with p_5 = 12, h_5 = 2491
-    assert row.lag == 6 * 2491
+    assert row.estimate.lag == 6 * 2491
     assert row.abs_error <= 0.05
 
 
@@ -345,7 +345,7 @@ def test_half_spacer_refusal_names_candidates():
     # the candidates are the nearest five, not every admissible shift
     (row,) = verify_half_spacer_mixing(dag, Fraction(1, 2), 1, 56, [("0", "1")],
                                        sample_budget=10)
-    assert row.lag == 56
+    assert row.estimate.lag == 56
 
 
 def test_half_spacer_small_run():
@@ -354,7 +354,7 @@ def test_half_spacer_small_run():
         dag, Fraction(1, 2), 1, 26, [("0", "1")], sample_budget=20_000, seed=3
     )
     (row,) = rows
-    assert row.method == "SAMPLED" and row.seed == 3
+    assert row.estimate.method == "SAMPLED" and row.estimate.seed == 3
     f0 = dag.frequency("0", 3).frequency
     f1 = dag.frequency("1", 3).frequency
     assert row.predicted == Fraction(1, 2) * f0 * f1  # disjoint pair: no identity part
