@@ -121,16 +121,16 @@ def _level(dag, n, k, span, table, read):
 
     Copies start at least h_k apart, so a draw's copy is the one its bucket
     lo // h_k starts in, or the next: the offset from the bucket's copy start
-    modulo that copy's period (h_k + its gap).  Where the gaps fill half of
-    B_n or more, which would make twice as many buckets as copies, `read`
-    takes every draw."""
+    modulo that copy's period (h_k + its gap).  `read` takes every draw where
+    no span fits in B_k, or where the gaps fill half of B_n or more, which
+    would make twice as many buckets as copies."""
     h = dag._heights[k]
     gaps = [0]
     for j in range(k + 1, n + 1):
         row, c = dag._layout[j][1], len(gaps)
         gaps *= len(row)
         gaps[c - 1::c] = map(add, gaps[c - 1::c], row)
-    if dag._heights[n] // h >= 2 * len(gaps):
+    if span > h or dag._heights[n] // h >= 2 * len(gaps):
         return lambda los: ([], sum(map(read, repeat(n), los)))
     starts = list(accumulate(map(add, gaps, repeat(h)), initial=0))
     # bucket b belongs to the last copy c with c * h + (the gaps before c)
@@ -358,14 +358,12 @@ class BlockDag:
         gap's seam, and the others descend into the copy.  One hit table over
         B_m (B_stage, when no deeper) settles the draws that reach the bottom.
         Only draws no table covers take one `_locate` descent each (`_reader`):
-        every draw when the span is longer than B_m, the seam draws of a gap
-        whose table would pass the cap, and every draw of a level that spacer
-        runs fill half of."""
+        every draw reaching a level whose lower block is shorter than the span,
+        the seam draws of a gap whose table would pass the cap, and every draw
+        of a level that spacer runs fill half of."""
         span = max(len(w1), lag + len(w2))
         read = _reader(self, w1, w2, lag, span)
         m = self._heights.index(len(self._prefix))
-        if stage > m and span > len(self._prefix):
-            return sum(map(read, repeat(stage), draws))
         table = partial(_hit_table, w1=w1, w2=w2, lag=lag)
         levels, n = [], stage
         for stages in _runs([len(self._layout[j][1]) for j in range(stage, m, -1)]):

@@ -18,11 +18,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, cycle, islice
 
 from .errors import InputError, RangeError
 
 FAMILIES = ("chacon", "vnk", "generalized_chacon", "katok", "custom")
+ROW_ENTRIES = 10**7  # spacer entries a family schedule may spell out, over all its rows
 
 
 @dataclass(frozen=True)
@@ -183,10 +184,10 @@ def generalized_chacon(depth, cuts=None, spacer_index=0):
     Default schedule p_n = 2n + 2; `spacer_index` is an int, the string
     "last", or a sequence with one index per stage."""
     if cuts is None:
-        cuts = tuple(2 * n + 2 for n in range(1, depth + 1))
+        cuts = _checked_cuts(2 * n + 2 for n in range(1, depth + 1))
         generated = True
     else:
-        cuts = tuple(cuts)
+        cuts = _checked_cuts(cuts)
         if len(cuts) != depth:
             raise InputError("need one cut per stage")
         generated = all(a < b for a, b in zip(cuts, cuts[1:]))
@@ -219,11 +220,23 @@ def katok(cuts=None, depth=None):
     if cuts is None:
         if depth is None:
             raise InputError("katok needs cuts or a depth")
-        cuts = tuple(2 ** (n + 1) for n in range(1, depth + 1))
-    cuts = tuple(cuts)
+        cuts = (2 ** (n + 1) for n in range(1, depth + 1))
+    cuts = _checked_cuts(cuts)
     rows = tuple((0,) * (p // 2) + (1,) * (p // 2) for p in cuts)
     unbounded = all(a < b for a, b in zip(cuts, cuts[1:]))
     return ConstructionParams(cuts=cuts, spacers=rows, family="katok", unbounded=unbounded)
+
+
+def _checked_cuts(cuts):
+    """`cuts` as a tuple, read stage by stage and refused before any row is
+    built once the spacer rows so far, p_n entries each, pass ROW_ENTRIES."""
+    out, total = [], 0
+    for p in cuts:
+        out.append(p)
+        total += max(p, 1)  # a cut below 2, refused later, still makes a stage
+        if total > ROW_ENTRIES:
+            raise InputError(f"{total} spacer entries in stages 1..{len(out)} exceed {ROW_ENTRIES}")
+    return tuple(out)
 
 
 def json_ints(value, what, nesting=1):
@@ -251,9 +264,8 @@ def _expand_custom(doc, gen):
             raise InputError(f"cannot extend prefix to depth {depth} with rule {rule!r}")
         if not cuts:
             raise InputError("periodic generator needs a non-empty prefix")
-        k = len(cuts)
-        cuts = [cuts[i % k] for i in range(depth)]
-        spacers = [spacers[i % k] for i in range(depth)]
+        cuts = _checked_cuts(islice(cycle(cuts), depth))
+        spacers = tuple(islice(cycle(spacers), depth))
     return ConstructionParams(
         cuts=tuple(cuts[:depth]), spacers=tuple(spacers[:depth]), family="custom"
     )

@@ -271,10 +271,11 @@ def _window_distribution_enum(window, j, cap):
     the starts that reach the all-full last level, exactly the last min(j, D)
     of the D points, land in the tail.  Windows of more than `cap` points are
     refused before the level table is built.  The starts run in segments of
-    max(SLIDE, j), each read as one int; j - 1 adds of that int shifted down
-    1..j-1 slots form every start's sum at once.  No slot carries: a slot holds
-    j times the largest excess.  A segment holds max(SLIDE, j) + j - 1 slots,
-    so each level is read at most twice, and memory grows with j past SLIDE.
+    max(SLIDE, j), each read as one int; one multiply of that int by the
+    repunit of j slots of 1, shifted down j - 1 slots, forms every start's sum
+    at once.  No slot carries: a slot holds j times the largest excess.  A
+    segment holds max(SLIDE, j) + j - 1 slots, so each level is read at most
+    twice, and memory grows with j past SLIDE.
     Returns (counts by value, tail count, number of points), as the recursion
     does."""
     size = prod(p for p, _ in window)
@@ -284,13 +285,12 @@ def _window_distribution_enum(window, j, cap):
     bits = 8 * width
     code = next((c for c in "BHIQ" if array(c).itemsize == width), None)
     n, step = max(size - j, 0), max(SLIDE, j)  # the first n starts stay below the last level
+    repunit = ((1 << j * bits) - 1) // ((1 << bits) - 1)  # j slots of 1
     counts = Counter()
     for lo in range(0, n, step):
         hi = min(lo + step, n)
         run = int.from_bytes(memoryview(table)[lo * width:(hi + j - 1) * width], "little")
-        total = run  # slot t of total sums the levels t..t+j-1
-        for k in range(1, j):
-            total += run >> k * bits
+        total = run * repunit >> (j - 1) * bits  # slot t sums the levels t..t+j-1
         # the sums of starts lo..hi-1, in native byte order for the cast
         sums = (total & (1 << (hi - lo) * bits) - 1).to_bytes((hi - lo) * width, sys.byteorder)
         counts.update(memoryview(sums).cast(code) if code else (

@@ -4,18 +4,18 @@ Every accumulator walks its horizon in segments of SEGMENT steps and carries
 its running integer counts (the eigen sum: its complex accumulator, in step
 order) from one segment to the next, so no buffer as long as the horizon is
 held.  A segment's Mobius values come as signed bytes from one sieve
-segment, decided by byte sums of base-prime weights (see `mobius_sieve`),
-and its orbit symbols from one layout descent of an `OrbitWord`, so
-horizons far beyond the materialization cap are feasible.  The cylinder and
-prime-pair accumulators take a segment's hit flags, one byte per step, from
-the word kernel that also serves the exact counts and the sampler's tables
-(`blocks._flags`), and count each grid piece with `bytes.count`, so their
-sums are integer counts combined with the center at grid points only.
-Partial averages are exact (rationals for rational-valued observables) and
-emitted on a geometric grid of horizons.  Decay is reported, never
-"verified": the vanishing of these averages is an asymptotic statement, so
-acceptance rests on recorded regression baselines and trend diagnostics, not
-on the conjecture.
+segment, decided by the parity and size of one byte sum of odd base-prime
+weights per number (see `mobius_sieve`), and its orbit symbols from one
+layout descent of an `OrbitWord`, so horizons far beyond the materialization
+cap are feasible.  The cylinder and prime-pair accumulators take a segment's
+hit flags, one byte per step, from the word kernel that also serves the
+exact counts and the sampler's tables (`blocks._flags`), and count each grid
+piece with `bytes.count`, so their sums are integer counts combined with the
+center at grid points only.  Partial averages are exact (rationals for
+rational-valued observables) and emitted on a geometric grid of horizons.
+Decay is reported, never "verified": the vanishing of these averages is an
+asymptotic statement, so acceptance rests on recorded regression baselines
+and trend diagnostics, not on the conjecture.
 
 The K-floor suspension pairs step n with floor (start_floor + n) % K and
 base position (start_floor + n) // K, modelling a finite cyclic group of
@@ -50,30 +50,28 @@ __all__ = [
     "eigen_suspension_averages",
 ]
 
-# byte tables: a Mobius value is stored as its low byte, so -1 is 0xff
-_NEGATE = bytes.maketrans(b"\x01\xff", b"\xff\x01")
-
-
 def mobius_sieve(limit):
     """mu(0..limit) as an array('b'), with mu(0) = 0: the join of the
     segments of `_mobius_segments`, the one sieve behind every accumulator.
 
-    A segment [L, R) starts at +1, and each base prime p <= s = isqrt(limit)
-    negates its multiples and adds w_p = floor(4 log2 p) to their byte sums
-    S.  A squarefree n in [L, R) is P * m, where P is the product of its base
+    A segment [L, R) starts at byte sums S = 0, and each base prime
+    p <= s = isqrt(limit) adds its odd weight w_p, floor(4 log2 p) rounded
+    down to an odd number, to the sums of its multiples, so S mod 2 counts
+    the base primes of n (the sums wrap modulo 256, which keeps the parity).
+    A squarefree n in [L, R) is P * m, where P is the product of its base
     primes and m is 1 or one prime above s (two would exceed the limit), so
-    mu(n) is the sign so far, flipped once more if m > s.  Since
-    w_p > 4 log2 p - 1, and P has at most omega_max prime factors (the most
-    any n <= limit has), 4 log2 P - omega_max < S <= 4 log2 P for P > 1.
-    Let c >= 1 be least with R^4 <= (s + 1)^4 * 2^c, and x the least n with
-    floor(4 log2 n) >= c + omega_max.  If m > s, then P < R / (s + 1), so
-    S < c.  If m = 1 and n >= x, then P = n and S > 4 log2 n - omega_max
-    >= c.  So on [max(L, x), R) the test S < c flips exactly the n with a
-    prime factor above s; R < 2^64 keeps S below 256, and a segment with
-    R >= 2^64 takes x = R.  Below x, a stretch only near the start of the
-    sieve, each n has its base primes divided out as a Python int instead,
-    and flips where a cofactor above 1 is left.  The p^2 strides are zeroed
-    last, so every flip meets a +-1."""
+    mu(n) = (-1)^(S + f) with f = [m > s].  Since 4 log2 p - 2 < w_p
+    <= 4 log2 p, and P has at most omega_max prime factors (the most any
+    n <= limit has), 4 log2 P - 2 omega_max < S <= 4 log2 P for P > 1.  Let
+    c >= 1 be least with R^4 <= (s + 1)^4 * 2^c, and x the least n with
+    floor(4 log2 n) >= c + 2 omega_max.  If m > s, then P < R / (s + 1), so
+    S < c.  If m = 1 and n >= x, then P = n and S > 4 log2 n - 2 omega_max
+    >= c.  So on [max(L, x), R) f = [S < c], read with S's parity from one
+    256-entry table; R < 2^64 keeps S <= 4 log2 n below 256, and a segment
+    with R >= 2^64 takes x = R.  Below x, a stretch only near the start of
+    the sieve, each n has its base primes divided out as a Python int
+    instead, and f = [a cofactor above 1 is left].  The p^2 strides are
+    zeroed last, over whatever sign a non-squarefree n was given."""
     mu = array("b", b"\0")
     for segment in _mobius_segments(limit):
         mu.frombytes(segment)
@@ -91,7 +89,7 @@ def _mobius_segments(limit):
             prime[p * p :: p] = bytes(len(range(p * p, root + 1, p)))
     base = []  # each base prime p <= root with its table adding w_p to a byte
     for p in compress(range(2, root + 1), prime[2:]):
-        w = (p**4).bit_length() - 1
+        w = (p**4).bit_length() - 2 | 1  # floor(4 log2 p), rounded down to odd
         base.append((p, bytes(range(w, 256)) + bytes(range(w))))
     omega, product, m = 0, 1, 2  # omega_max: the longest primorial 2*3*5*... <= limit
     while product * m <= limit:
@@ -105,22 +103,17 @@ def _mobius_segments(limit):
 def _sieve_segment(lo, hi, base, root, omega):
     """mu(lo..hi-1) as bytes for 1 <= lo < hi, from the base primes p <= root."""
     size = hi - lo
-    mu = bytearray(b"\x01") * size
     sums = bytearray(size)
     for p, add_weight in base:
         first = -lo % p
-        mu[first::p] = mu[first::p].translate(_NEGATE)
         sums[first::p] = sums[first::p].translate(add_weight)
     c = max(1, ((hi**4 - 1) // (root + 1) ** 4).bit_length())
-    x = hi  # byte sums decide [x, hi), x the least n >= lo with n^4 >= 2^(c + omega)
+    x = hi  # byte sums decide [x, hi), x the least n >= lo with n^4 >= 2^(c + 2 omega)
     if hi.bit_length() <= 64:
-        bound = 1 << c + omega
-        x = isqrt(isqrt(bound))
-        x = min(max(x + (x**4 < bound), lo), hi)
-    flips = _cofactor_flips(lo, x, base) if x > lo else b""
-    if x < hi:
-        flips += sums[x - lo :].translate(b"\xfe" * c + bytes(256 - c))
-    mu = bytearray(_xor(mu, flips))
+        x = min(max(isqrt(isqrt((1 << c + 2 * omega) - 1)) + 1, lo), hi)
+    mu = sums.translate(bytes(255 if (s + (s < c)) % 2 else 1 for s in range(256)))
+    if x > lo:
+        mu[: x - lo] = _cofactor_signs(lo, x, base, sums)
     for p, _ in base:
         if p * p >= hi:
             break
@@ -129,15 +122,15 @@ def _sieve_segment(lo, hi, base, root, omega):
     return mu
 
 
-def _cofactor_flips(lo, hi, base):
-    """0xfe where n in [lo, hi) keeps a cofactor above 1 once each base prime
-    dividing it is divided out once, else 0: the exact path below a
-    segment's byte-sum threshold."""
+def _cofactor_signs(lo, hi, base, sums):
+    """(-1)^(S + f) as bytes for n in [lo, hi), S = sums[n - lo] and f = 1
+    where n keeps a cofactor above 1 once each base prime dividing it is
+    divided out once: the exact path below a segment's byte-sum threshold."""
     rest = list(range(lo, hi))
     for p, _ in base:
         first = -lo % p
         rest[first::p] = [n // p for n in rest[first::p]]
-    return bytes(0xFE * (n > 1) for n in rest)
+    return bytes(255 if (s + (n > 1)) % 2 else 1 for n, s in zip(rest, sums))
 
 
 def mertens(mu, limit=None):
@@ -267,11 +260,6 @@ def _steps(horizon, size):
 def _signed_sum(data, start=0, end=None):
     """Sum of the Mobius values stored as bytes in data[start:end]."""
     return data.count(1, start, end) - data.count(255, start, end)
-
-
-def _xor(a, b):
-    """Bytewise XOR of two byte strings of one length."""
-    return (int.from_bytes(a, "little") ^ int.from_bytes(b, "little")).to_bytes(len(a), "little")
 
 
 def cylinder_sarnak_averages(word, cylinder, center, horizon, floors=1, start_floor=0):

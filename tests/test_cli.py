@@ -580,6 +580,12 @@ MALFORMED_DOCS = {
     "list-generator.json": {"family": "chacon", "depth": 3, "generator": [1]},
     "str-generator.json": {"family": "custom", "cuts": [2], "spacers": [[0, 0]],
                            "generator": "x"},
+    # schedules whose spacer rows would spell out more than 10^7 entries
+    "katok-huge-cut.json": {"family": "katok", "cuts": [4, 1_000_000_000]},
+    "generalized-chacon-huge-cut.json": {"family": "generalized_chacon", "depth": 2,
+                                         "cuts": [4, 1_000_000_000]},
+    "custom-huge-depth.json": {"family": "custom", "depth": 1_000_000_000, "cuts": [2],
+                               "spacers": [[0, 0]], "generator": {"rule": "periodic"}},
     # valid documents, for argvs whose fault lies in an option
     "katok.json": {"family": "katok", "cuts": [100, 10000]},
     "eigen-2-3-6.json": {"family": "custom", "depth": 12, "cuts": [3], "spacers": [[1, 1, 0]],
@@ -616,6 +622,10 @@ MALFORMED_MESSAGES = {
     "katok-scan-stage-too-shallow": "stage 1 too shallow for lag 26",
     "classify-max-order-1": "max order 1 is below 2",
     "eigen-max-order-1": "max order 1 is below 2",
+    "katok-default-depth-26": "16777212 spacer entries in stages 1..22 exceed 10000000",
+    "katok-huge-cut": "1000000004 spacer entries in stages 1..2 exceed 10000000",
+    "generalized-chacon-huge-cut": "1000000004 spacer entries in stages 1..2",
+    "custom-periodic-huge-depth": "10000002 spacer entries in stages 1..5000001",
 }
 
 
@@ -696,6 +706,11 @@ MALFORMED_MESSAGES = {
         # orders start at 2: below that, classify read WEAKLY_MIXING_CANDIDATE and eigen "none"
         ["classify", "--config", "{tmp}/eigen-2-3-6.json", "--max-order", "1"],
         ["eigen", "--config", "{tmp}/eigen-2-3-6.json", "--max-order", "1"],
+        # schedules whose rows would fill memory, refused before one is built
+        ["heights", "--config", "katok:depth=26", "-n", "3"],
+        ["heights", "--config", "{tmp}/katok-huge-cut.json", "-n", "1"],
+        ["heights", "--config", "{tmp}/generalized-chacon-huge-cut.json", "-n", "1"],
+        ["heights", "--config", "{tmp}/custom-huge-depth.json", "-n", "1"],
     ],
     ids=["missing-config", "bad-family-arg", "bad-pairs", "list-config", "start-0",
          "start-0-small-cap", "bad-powers",
@@ -714,7 +729,8 @@ MALFORMED_MESSAGES = {
          "profile-range-reversed", "profile-default-range-empty", "certify-prefix-too-short",
          "pj-prefix-too-short", "certify-katok-default-depth", "pj-depth-past-prefix",
          "profile-window-past-prefix", "katok-scan-stage-too-shallow", "classify-max-order-1",
-         "eigen-max-order-1"],
+         "eigen-max-order-1", "katok-default-depth-26", "katok-huge-cut",
+         "generalized-chacon-huge-cut", "custom-periodic-huge-depth"],
 )
 def test_malformed_input_exits_2(tmp_path, capsys, request, argv):
     for name, doc in MALFORMED_DOCS.items():

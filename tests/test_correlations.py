@@ -222,8 +222,8 @@ def test_sampler_matches_per_sample_reference(request, params, dag_kwargs, limit
             value, reads = _sampled_counting_reads(dag, w1, w2, lag, stage, samples, seed)
         assert value == expected, setting
         # draws the tables cannot settle, and only those, are read one by one
-        if case == "span-longer-than-prefix":
-            assert reads == samples
+        if case == "span-longer-than-prefix":  # read from the first level the span outgrows
+            assert 0 < reads <= samples
         elif case == "gap-too-long":
             assert 0 < reads < samples
         elif case == "spacers-fill-the-level":  # no bucket index over B_1's copies in B_2

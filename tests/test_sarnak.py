@@ -115,22 +115,23 @@ def test_sieve_with_small_segments(monkeypatch, segment):
 def test_segment_failing_the_threshold_check_is_sieved_exactly(monkeypatch):
     exact = []
 
-    def spy(lo, hi, base):
+    def spy(lo, hi, base, sums):
         exact.append((lo, hi))
-        return cofactor_flips(lo, hi, base)
+        return cofactor_signs(lo, hi, base, sums)
 
-    cofactor_flips = sarnak._cofactor_flips
-    monkeypatch.setattr(sarnak, "_cofactor_flips", spy)
+    cofactor_signs = sarnak._cofactor_signs
+    monkeypatch.setattr(sarnak, "_cofactor_signs", spy)
     monkeypatch.setattr(sarnak, "SEGMENT", 4096)
     # [1, 1001), s = 31, omega_max = 4: 1001^4 <= 32^4 * 2^c from c = 20 on,
-    # and floor(4 log2 n) >= 24 from n = 64 on
+    # and floor(4 log2 n) >= c + 2 omega_max = 28 from n = 128 on
     assert mobius_sieve(1000).tolist() == FACTORED[:1001]
-    assert exact == [(1, 64)]
-    # [1, 4097), s = 141, omega_max = 5: c = 20, and floor(4 log2 n) >= 25 from
-    # n = 77 on; [4097, 8193) has c = 24, and 153 < 4097, so byte sums decide it whole
+    assert exact == [(1, 128)]
+    # [1, 4097), s = 141, omega_max = 5: c = 20, and floor(4 log2 n) >= 30 from
+    # n = 182 on; [4097, 8193) has c = 24 and x = 363 < 4097, so byte sums
+    # decide it whole
     exact.clear()
     assert mobius_sieve(20_000).tolist() == FACTORED
-    assert exact == [(1, 77)]
+    assert exact == [(1, 182)]
 
 
 @pytest.mark.parametrize("limit, omega_max",
