@@ -10,9 +10,15 @@ layout descent of an `OrbitWord`, so horizons far beyond the materialization
 cap are feasible.  The cylinder and prime-pair accumulators take a segment's
 hit flags, one byte per step, from the word kernel that also serves the
 exact counts and the sampler's tables (`blocks._flags`), and count each grid
-piece with `bytes.count`, so their sums are integer counts combined with the
-center at grid points only.  Partial averages are exact (rationals for
-rational-valued observables) and emitted on a geometric grid of horizons.
+piece by popcounts of its bytes read as one int: Mobius weights 0b11, 0b01
+and 0 give sum(mu) = W.bit_count() - L over L steps, and ANDed with the
+0xff hit flags H, the hit sum (W & H).bit_count() - H.bit_count() // 8.
+Their sums are integer counts combined with the center at grid points only.
+The eigen sum folds one code byte per nonzero step, 2f + 1 or 2f + 2 for
+floor f and mu(n) = 1 or -1, which fits a byte up to K = 127 floors; more
+floors fall back to a per-floor row indexed by the signed Mobius byte.
+Partial averages are exact (rationals for rational-valued observables) and
+emitted on a geometric grid of horizons.
 Decay is reported, never "verified": the vanishing of these averages is an
 asymptotic statement, so acceptance rests on recorded regression baselines
 and trend diagnostics, not on the conjecture.
@@ -35,7 +41,7 @@ from itertools import compress, cycle
 from math import gcd, isqrt
 from operator import add, getitem
 
-from .blocks import SEGMENT, BlockDag, _and, _check_word, _flags
+from .blocks import SEGMENT, BlockDag, _check_word, _flags
 from .errors import InputError, RangeError
 
 __all__ = [
@@ -257,9 +263,12 @@ def _steps(horizon, size):
         yield lo, hi, pieces
 
 
-def _signed_sum(data, start=0, end=None):
-    """Sum of the Mobius values stored as bytes in data[start:end]."""
-    return data.count(1, start, end) - data.count(255, start, end)
+# Mobius bytes (1, 0, 0xff) to bit weights 0b11, 0b01 and 0, whose popcount
+# over L steps is L + their Mobius sum
+_WEIGHT = bytes([1, 3]) + bytes(254)
+# Mobius bytes to the nonzero mask 0xff and to the eigen sign codes 1 and 2
+_NONZERO = bytes([0]) + b"\xff" * 255
+_SIGN_CODE = bytes([0, 1]) + bytes(253) + bytes([2])
 
 
 def cylinder_sarnak_averages(word, cylinder, center, horizon, floors=1, start_floor=0):
@@ -269,7 +278,8 @@ def cylinder_sarnak_averages(word, cylinder, center, horizon, floors=1, start_fl
     and reads word position (start_floor + n) // floors.  `word` is a str or an
     `OrbitWord`; mu(n) is sieved segment by segment alongside.  The partial
     sum splits into an integer hit sum and the Mertens sum, carried across
-    segments and combined exactly at grid points only."""
+    segments as popcounts (see the module docstring) and combined exactly at
+    grid points only."""
     _check_word(cylinder)
     center = Fraction(center)
     reach = _orbit_reach(floors, start_floor, horizon)
@@ -286,10 +296,12 @@ def cylinder_sarnak_averages(word, cylinder, center, horizon, floors=1, start_fl
         for floor in range(min(floors, hi - lo)):
             base = (start_floor + lo + floor) // floors - first
             stepped[floor::floors] = hits[base : base + len(range(floor, hi - lo, floors))]
-        hit_signs = _and(signs, stepped)
+        weights = signs.translate(_WEIGHT)
         for a, b, point in pieces:
-            hit_sum += _signed_sum(hit_signs, a, b)
-            mertens_sum += _signed_sum(signs, a, b)
+            w = int.from_bytes(weights[a:b], "little")
+            h = int.from_bytes(stepped[a:b], "little")
+            hit_sum += (w & h).bit_count() - h.bit_count() // 8
+            mertens_sum += w.bit_count() - (b - a)
             if point:
                 out.append((point, Fraction(hit_sum - center * mertens_sum, point)))
     return out
@@ -300,8 +312,9 @@ def prime_power_averages(word, cylinder, center, p, q, horizon):
 
     With hits h_p, h_q in {0, 1}, (h_p - c)(h_q - c) expands to
     h_p*h_q - c*(h_p + h_q) + c^2: two integer counts, carried across
-    segments of SEGMENT // max(p, q) steps and combined exactly only at grid
-    points.  p and q must be distinct and >= 1 (primes in the intended use);
+    segments of SEGMENT // max(p, q) steps as popcounts of the hit flags
+    (0xff per hit) read as ints, and combined exactly only at grid points.
+    p and q must be distinct and >= 1 (primes in the intended use);
     the orbit word (a str or an `OrbitWord`) must reach max(p, q) * horizon
     plus the window."""
     _check_word(cylinder)
@@ -319,10 +332,10 @@ def prime_power_averages(word, cylinder, center, p, q, horizon):
         # byte i flags a hit at word position p * (lo + i), resp. q * (lo + i)
         hits_p, hits_q = (_flags(word[s * lo : s * (hi - 1) + len(cylinder)], cylinder, "", 0,
                                  0, hi - lo, s) for s in (p, q))
-        hits_pq = _and(hits_p, hits_q)
         for a, b, point in pieces:
-            both += hits_pq.count(255, a, b)
-            either += hits_p.count(255, a, b) + hits_q.count(255, a, b)
+            h_p, h_q = (int.from_bytes(hits[a:b], "little") for hits in (hits_p, hits_q))
+            both += (h_p & h_q).bit_count() // 8
+            either += (h_p.bit_count() + h_q.bit_count()) // 8
             if point:
                 out.append((point, Fraction(both - center * either + point * center * center,
                                             point)))
@@ -339,22 +352,39 @@ def eigen_suspension_averages(K, power, horizon, start_floor=0):
 
     Step n sits on floor f = (start_floor + n) % K of the K-floor suspension
     orbit; the eigenfunction reads the floor alone, never the orbit word.
-    mu(n) is sieved segment by segment.  Floor f has a row holding
-    table[f] * 1 at byte 0x01 and table[f] * -1 at byte 0xff, so each step
-    adds the product acc = acc + table[f] * mu(n), in step order across
-    segments, and float sums round the same way as that per-step loop.
+    mu(n) is sieved segment by segment, and each step with mu(n) != 0 adds
+    table[f] * mu(n) to the complex accumulator, in step order across
+    segments, so float sums round the same way as the per-step loop.  For
+    K <= 127 a step's code byte is 2f + 1 where mu(n) = 1, 2f + 2 where
+    mu(n) = -1 and 0 where mu(n) = 0: a segment's codes are its periodic
+    floor pattern 2f, masked to the nonzero steps, plus the sign codes, in
+    one int addition that no byte carries out of (2f + 2 <= 254); the zero
+    codes are deleted and the rest index the addends.  From K = 128 on, a
+    code no longer fits in a byte, so floor f has a row holding table[f] * 1
+    at byte 0x01 and table[f] * -1 at byte 0xff, indexed by the signed byte.
     mu(1) = 1, so the sum is complex from step 1 on."""
     _orbit_reach(K, start_floor, horizon)  # refuses a start floor outside 0..K-1
     table = [cmath.exp(2j * cmath.pi * power * f / K) for f in range(K)]
-    rows = [[None, v * 1, *[None] * 253, v * -1] for v in table]  # indexed by signed byte
+    if K < 128:
+        addends = [None, *(v * sign for v in table for sign in (1, -1))]  # indexed by code
+        floors = bytes(range(0, 2 * K, 2)) * (SEGMENT // K + 2)
+    else:
+        rows = [[None, v * 1, *[None] * 253, v * -1] for v in table]  # indexed by signed byte
     out = []
     acc = 0
     for (lo, hi, pieces), signs in zip(_steps(horizon, SEGMENT), _mobius_segments(horizon)):
         for a, b, point in pieces:
             first = (start_floor + lo + a) % K
-            floors = cycle(rows[first:] + rows[:first])
             seg = signs[a:b]
-            acc = reduce(add, compress(map(getitem, floors, seg), seg), acc)
+            if K < 128:
+                codes = ((int.from_bytes(floors[first : first + b - a], "little")
+                          & int.from_bytes(seg.translate(_NONZERO), "little"))
+                         + int.from_bytes(seg.translate(_SIGN_CODE), "little"))
+                steps = map(addends.__getitem__,
+                            codes.to_bytes(b - a, "little").translate(None, b"\0"))
+            else:
+                steps = compress(map(getitem, cycle(rows[first:] + rows[:first]), seg), seg)
+            acc = reduce(add, steps, acc)
             if point:
                 out.append((point, acc / point))
     return out

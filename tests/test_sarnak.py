@@ -322,7 +322,7 @@ def test_accumulators_match_reference_in_segments(monkeypatch, segment):
         assert prime_power_averages(word, "010", center, p, q, horizon) == expected
         lazy = OrbitWord(dag, spec, max(p, q) * horizon + 3)
         assert prime_power_averages(lazy, "010", center, p, q, horizon) == expected
-    for K in (1, 3, 5):
+    for K in (1, 3, 5, 130):
         table = [cmath.exp(2j * cmath.pi * 2 * f / K) for f in range(K)]
         for start_floor in range(K):
             expected = partial_averages(lambda n: table[(start_floor + n) % K], mu, horizon)
@@ -338,6 +338,8 @@ def test_cli_orbit_averages_memory_is_flat(tmp_path, N):
         ["sarnak", "--config", "chacon:depth=30", "--observable", "cyl:0",
          "--center-value", "2/3", "--N", str(N), "--stage", "15"],
         ["suspend", "--config", "chacon:depth=30", "--K", "3", "--observable", "eigen:1",
+         "--N", str(N)],
+        ["suspend", "--config", "chacon:depth=30", "--K", "200", "--observable", "eigen:1",
          "--N", str(N)],
     )
     for k, argv in enumerate(lines):
@@ -543,7 +545,7 @@ def test_suspension_floor_arithmetic():
         assert average == pytest.approx(total / point)
 
 
-@pytest.mark.parametrize("K", [1, 2, 3, 5, 128, 300])
+@pytest.mark.parametrize("K", [1, 2, 3, 5, 127, 128, 300])
 def test_eigen_matches_partial_averages_bit_for_bit(K):
     mu = mobius_sieve(3000)
     for power in (0, 1, 2, -2):
