@@ -58,10 +58,11 @@ def _flags(text, w1, w2, lag, start, size, stride=1):
     for i < size.  `text` must hold every letter read; "#" matches neither
     symbol.  Each letter reads only its own slice of `text`, one symbol per
     start, and `bytes.translate` turns it into flags; the letters' flags are
-    ANDed."""
+    ANDed as they come, so two flag strings are held at once, not one per
+    letter."""
     end = stride * (size - 1) + 1
-    return reduce(_and, [text[k : k + end : stride].encode().translate(_MATCH[c])
-                         for k, c in [*enumerate(w1, start), *enumerate(w2, start + lag)]])
+    return reduce(_and, (text[k : k + end : stride].encode().translate(_MATCH[c])
+                         for k, c in [*enumerate(w1, start), *enumerate(w2, start + lag)]))
 
 
 def count_overlapping(text, w1, w2="", lag=0):
@@ -208,10 +209,11 @@ class CylinderMeasureEstimate:
 class BlockDag:
     """Recursive view of the building blocks of one construction.
 
-    `__init__` builds the layout table once, in time linear in the size of
-    the construction: the heights h_n indexed by stage and, for each stage
-    n >= 2, the start offsets of the p_{n-1} copies of B_{n-1} inside B_n
-    with the spacer row that follows them.  Two readers use the start
+    The layout table holds the heights h_n indexed by stage and, for each
+    stage n >= 2, the start offsets of the p_{n-1} copies of B_{n-1} inside
+    B_n with the spacer row that follows them.  `height(n)` extends it
+    through stage n on first read, so a call pays for the stages it reads,
+    not for the depth of the construction.  Two readers use the start
     offsets: `_locate` descends a stage by one bisection while its range
     stays inside one piece, and `segments` splits a range into pieces.
     `_extract` reads a range where `_locate` leaves it, and `_sampled_hits`
@@ -235,16 +237,13 @@ class BlockDag:
     def __init__(self, params: ConstructionParams, cap=DEFAULT_CAP):
         self.params = params
         self.cap = cap
-        self._heights = (0,) + heights(params, params.depth).heights
-        self._layout = (None, None) + tuple(
-            (list(accumulate((h + s for s in row[:-1]), initial=0)), row)
-            for h, row in zip(self._heights[1:], params.spacers)
-        )
+        self._heights = [0, 1]  # h_n at index n, for the stages built so far
+        self._layout = [None, None]
         prefix = "0"  # B_1: every descent ends by then
-        for h, row in zip(self._heights[2:], params.spacers):
-            if h > PREFIX_LIMIT:
+        for n in range(2, self.max_stage + 1):
+            if self.height(n) > PREFIX_LIMIT:
                 break
-            prefix = "".join(prefix + "1" * s for s in row)
+            prefix = "".join(prefix + "1" * s for s in self._layout[n][1])
         self._prefix = prefix
 
     @property
@@ -252,13 +251,22 @@ class BlockDag:
         return self.params.depth + 1
 
     def height(self, n):
+        """h_n, building the layout through stage n on first read."""
         if not 1 <= n <= self.max_stage:
             raise RangeError(f"stage {n} outside 1..{self.max_stage}")
+        while len(self._heights) <= n:
+            h, row = self._heights[-1], self.params.spacers[len(self._heights) - 2]
+            self._layout.append((list(accumulate((h + s for s in row[:-1]), initial=0)), row))
+            self._heights.append(len(row) * h + sum(row))
         return self._heights[n]
 
     def deepest_materializable(self):
-        """The deepest stage whose block fits under the cap, or None."""
-        return next((n for n in range(self.max_stage, 0, -1) if self._heights[n] <= self.cap), None)
+        """The deepest stage whose block fits under the cap, or None: heights
+        grow with the stage, so the scan stops at the first one above it."""
+        n = 0
+        while n < self.max_stage and self.height(n + 1) <= self.cap:
+            n += 1
+        return n or None
 
     # -- layout ---------------------------------------------------------
 
@@ -267,6 +275,7 @@ class BlockDag:
         0-based range [lo, hi), in order, as (a, b, child): [a, b) is the
         overlap and `child` the offset of the piece's copy of B_{n-1} in B_n,
         or None when the piece is a spacer run."""
+        self.height(n)  # builds the layout through stage n
         starts, row = self._layout[n]
         h = self._heights[n - 1]
         for j in range(bisect_right(starts, lo) - 1, len(starts)):
@@ -406,7 +415,7 @@ class BlockDag:
         or B_n, so go unchecked; `capped` checks each string before it is built."""
         m = span - 1
         copies = 1
-        while self._heights[n] > 2 * span:
+        while self.height(n) > 2 * span:
             h = self._heights[n - 1]
             row = self._layout[n][1]
             if capped:

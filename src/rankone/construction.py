@@ -95,7 +95,7 @@ class ConstructionParams:
             "family": self.family,
             "depth": self.depth,
             "cuts": list(self.cuts),
-            "spacers": [list(r) for r in self.spacers],
+            "spacers": list(self.spacers),  # rows stay shared tuples; JSON writes them as lists
             "unbounded": self.unbounded,
         }
 

@@ -120,7 +120,9 @@ def _scan_stage_for(dag, lag, margin, requested=None, deepest=False):
     # first columns of the period and biases the column statistics
     if not deepest:
         for n in range(1, dag.max_stage + 1):
-            if 4 * lag + margin <= dag.height(n) <= dag.cap:
+            if dag.height(n) > dag.cap:  # heights grow with the stage: none past here fits
+                break
+            if 4 * lag + margin <= dag.height(n):
                 return n
     stage = dag.deepest_materializable()
     if stage is not None and dag.height(stage) >= lag + margin:

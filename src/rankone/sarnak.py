@@ -14,9 +14,9 @@ piece by popcounts of its bytes read as one int: Mobius weights 0b11, 0b01
 and 0 give sum(mu) = W.bit_count() - L over L steps, and ANDed with the
 0xff hit flags H, the hit sum (W & H).bit_count() - H.bit_count() // 8.
 Their sums are integer counts combined with the center at grid points only.
-The eigen sum folds one code byte per nonzero step, 2f + 1 or 2f + 2 for
-floor f and mu(n) = 1 or -1, which fits a byte up to K = 127 floors; more
-floors fall back to a per-floor row indexed by the signed Mobius byte.
+The eigen sum folds one code byte per nonzero step, 2r + 1 or 2r + 2 for
+mu(n) = 1 or -1, r < 127 being its floor counted from the first step of its
+run (a grid piece, cut every 127 steps past K = 127 floors).
 Partial averages are exact (rationals for rational-valued observables) and
 emitted on a geometric grid of horizons.
 Decay is reported, never "verified": the vanishing of these averages is an
@@ -37,9 +37,9 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import compress, cycle
+from itertools import compress
 from math import gcd, isqrt
-from operator import add, getitem
+from operator import add
 
 from .blocks import SEGMENT, BlockDag, _check_word, _flags
 from .errors import InputError, RangeError
@@ -354,37 +354,36 @@ def eigen_suspension_averages(K, power, horizon, start_floor=0):
     orbit; the eigenfunction reads the floor alone, never the orbit word.
     mu(n) is sieved segment by segment, and each step with mu(n) != 0 adds
     table[f] * mu(n) to the complex accumulator, in step order across
-    segments, so float sums round the same way as the per-step loop.  For
-    K <= 127 a step's code byte is 2f + 1 where mu(n) = 1, 2f + 2 where
-    mu(n) = -1 and 0 where mu(n) = 0: a segment's codes are its periodic
-    floor pattern 2f, masked to the nonzero steps, plus the sign codes, in
-    one int addition that no byte carries out of (2f + 2 <= 254); the zero
-    codes are deleted and the rest index the addends.  From K = 128 on, a
-    code no longer fits in a byte, so floor f has a row holding table[f] * 1
-    at byte 0x01 and table[f] * -1 at byte 0xff, indexed by the signed byte.
+    segments, so float sums round the same way as the per-step loop.  Each
+    grid piece is cut into runs, whole for K <= 127 and of 127 steps beyond.
+    A step's code byte is 2r + 1 where mu(n) = 1, 2r + 2 where mu(n) = -1
+    and 0 where mu(n) = 0, for r < 127 its floor counted from its run's first
+    step: the pattern 2r, masked to the nonzero steps, plus the sign codes,
+    in one int addition that no byte carries out of.  A run's nonzero codes
+    index the addends table[f] * (1, -1) from its first floor on.
     mu(1) = 1, so the sum is complex from step 1 on."""
     _orbit_reach(K, start_floor, horizon)  # refuses a start floor outside 0..K-1
     table = [cmath.exp(2j * cmath.pi * power * f / K) for f in range(K)]
-    if K < 128:
-        addends = [None, *(v * sign for v in table for sign in (1, -1))]  # indexed by code
-        floors = bytes(range(0, 2 * K, 2)) * (SEGMENT // K + 2)
-    else:
-        rows = [[None, v * 1, *[None] * 253, v * -1] for v in table]  # indexed by signed byte
+    addends = [None, *(v * sign for v in table * 2 for sign in (1, -1))]  # 2f + 1, 2f + 2
+    run = SEGMENT if K < 128 else 127
+    floors = bytes(range(0, 254, 2)[:K]) * (SEGMENT // min(K, 127) + 1)  # 2r
     out = []
     acc = 0
     for (lo, hi, pieces), signs in zip(_steps(horizon, SEGMENT), _mobius_segments(horizon)):
         for a, b, point in pieces:
-            first = (start_floor + lo + a) % K
             seg = signs[a:b]
-            if K < 128:
-                codes = ((int.from_bytes(floors[first : first + b - a], "little")
-                          & int.from_bytes(seg.translate(_NONZERO), "little"))
-                         + int.from_bytes(seg.translate(_SIGN_CODE), "little"))
-                steps = map(addends.__getitem__,
-                            codes.to_bytes(b - a, "little").translate(None, b"\0"))
-            else:
-                steps = compress(map(getitem, cycle(rows[first:] + rows[:first]), seg), seg)
-            acc = reduce(add, steps, acc)
+            codes = ((int.from_bytes(floors[: b - a], "little")
+                      & int.from_bytes(seg.translate(_NONZERO), "little"))
+                     + int.from_bytes(seg.translate(_SIGN_CODE), "little"))
+            codes = codes.to_bytes(b - a, "little")
+            for i in range(0, b - a, run):
+                first = 2 * ((start_floor + lo + a + i) % K)
+                acc = _fold(addends[first : first + 255], codes[i : i + run], acc)  # codes <= 254
             if point:
                 out.append((point, acc / point))
     return out
+
+
+def _fold(addends, codes, acc):
+    """acc plus addends[c] for each nonzero code c, added in order."""
+    return reduce(add, map(addends.__getitem__, codes.translate(None, b"\0")), acc)

@@ -1,5 +1,6 @@
 import random
 import sys
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import accumulate
@@ -61,6 +62,29 @@ def test_lengths_match_heights():
         for n in range(1, params.depth + 2):
             if seq.h(n) <= 100_000:
                 assert len(dag.materialize(n)) == seq.h(n)
+
+
+def test_layout_is_built_to_the_deepest_stage_read():
+    # heights and copy starts are built through the deepest stage a call
+    # reads: stage 3 of a depth-10^5 chacon holds kilobytes, where the whole
+    # layout would hold gigabytes of big-int offsets; the deepest block under
+    # the cap is found by reading heights up to the first one above it
+    params = chacon(10**5)
+    tracemalloc.start()
+    try:
+        dag = BlockDag(params)
+        assert dag.extract(3, 1, 13) == CHACON_B3
+        assert dag.count_occurrences("010", 3) == 4
+        assert dag.deepest_materializable() == 15
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert dag._heights[1:] == list(heights(chacon(15), 15).heights)
+    seq = heights(chacon(4), 4)
+    for cap in (0, 1, 12, 13, 40, 41, 10**9):
+        expected = max((n for n in range(1, 6) if seq.h(n) <= cap), default=None)
+        assert BlockDag(chacon(4), cap=cap).deepest_materializable() == expected
 
 
 def test_symbol_at_examples():
@@ -195,6 +219,22 @@ def test_count_overlapping_equals_brute_force_pair_count(text, w1, w2, lag):
     finally:
         if limit is not None:
             sys.set_int_max_str_digits(limit)
+
+
+def test_count_overlapping_memory_follows_the_chunk_not_the_word():
+    # the letters' flags are ANDed as they come, so a count holds a few chunks
+    # of SEGMENT flags whatever the word's length; one flag string per letter
+    # would hold 2,000 chunks here
+    text = BlockDag(chacon(12)).materialize(11)
+    word = text[:2000]
+    tracemalloc.start()
+    try:
+        count = count_overlapping(text, word)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == _windows(text, word)
+    assert peak < 16 * blocks.SEGMENT
 
 
 @given(st.integers(0, 2**32 - 1), _words(1), _words(0), st.sampled_from((1, 2, 8)), st.data())

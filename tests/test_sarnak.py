@@ -545,7 +545,11 @@ def test_suspension_floor_arithmetic():
         assert average == pytest.approx(total / point)
 
 
-@pytest.mark.parametrize("K", [1, 2, 3, 5, 127, 128, 300])
+# K = 127 is the last K whose grid pieces are single runs; from 128 on runs
+# of 127 steps cut each piece, so K = 128, 254, 300 and 1000 wrap a run past
+# floor K - 1 at start floors up to K - 1, and the 375-step pieces of the
+# horizon 3000 end between run cuts
+@pytest.mark.parametrize("K", [1, 2, 3, 5, 127, 128, 254, 300, 1000])
 def test_eigen_matches_partial_averages_bit_for_bit(K):
     mu = mobius_sieve(3000)
     for power in (0, 1, 2, -2):
