@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 
 from .construction import (
     ConstructionParams,
-    HeightSequence,
     chacon,
     finite_measure_partial_sums,
     generalized_chacon,

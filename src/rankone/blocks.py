@@ -23,10 +23,10 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial, reduce
-from itertools import accumulate, compress, count, islice, repeat
+from itertools import accumulate, compress, count, islice, repeat, takewhile
 from operator import add, floordiv, ge, getitem, le, mod, not_, sub
 
-from .construction import ConstructionParams, heights, spacer_stats
+from .construction import ConstructionParams, _rising_heights, heights, spacer_stats
 from .errors import InputError, RangeError, Refusal
 
 DEFAULT_CAP = 10_000_000
@@ -237,7 +237,8 @@ class BlockDag:
     def __init__(self, params: ConstructionParams, cap=DEFAULT_CAP):
         self.params = params
         self.cap = cap
-        self._heights = [0, 1]  # h_n at index n, for the stages built so far
+        self._rising = _rising_heights(params.spacers)
+        self._heights = [0, next(self._rising)]  # h_n at index n, for the stages built so far
         self._layout = [None, None]
         prefix = "0"  # B_1: every descent ends by then
         for n in range(2, self.max_stage + 1):
@@ -257,7 +258,7 @@ class BlockDag:
         while len(self._heights) <= n:
             h, row = self._heights[-1], self.params.spacers[len(self._heights) - 2]
             self._layout.append((list(accumulate((h + s for s in row[:-1]), initial=0)), row))
-            self._heights.append(len(row) * h + sum(row))
+            self._heights.append(next(self._rising))
         return self._heights[n]
 
     def deepest_materializable(self):
@@ -517,9 +518,11 @@ def eventual_period(dag, prefix_length, max_period):
     Prefix heuristic for odometer detection: a periodic limit word forces the
     return time to every tower base to be constant."""
     dag.check_cap(prefix_length)
-    # every block is a prefix of the deepest one
-    length = min(prefix_length, dag.height(dag.max_stage))
-    prefix = dag.extract(dag.max_stage, 1, length)
+    # every block is a prefix of the next: read the shallowest that holds the prefix
+    n = next((n for n in range(1, dag.max_stage) if dag.height(n) >= prefix_length),
+             dag.max_stage)
+    length = min(prefix_length, dag.height(n))
+    prefix = dag.extract(n, 1, length)
     for p in range(1, min(max_period, length - 1) + 1):
         if prefix[p:] == prefix[:-p]:
             return p
@@ -571,8 +574,7 @@ def abc_threshold(params, eps, ell):
     _, ratios, _ = spacer_stats(params, params.depth)
     if max(ratios[ell - 1:], default=Fraction(1)) >= eps / 4:
         return None
-    h_ell = heights(params, ell).h(ell)
-    return int(4 * h_ell / eps) + 1
+    return int(4 * heights(params, ell)[ell - 1] / eps) + 1
 
 
 @dataclass(frozen=True)
@@ -648,12 +650,10 @@ def _greedy_string_cover(dag, region, base_pos, ell):
     string-match materialized blocks from the largest stage down."""
     taken = []
     occupied = [False] * len(region)
-    stages = [
-        k
-        for k in range(ell, dag.max_stage + 1)
-        if dag.height(k) <= min(len(region), dag.cap)
-    ]
-    for k in reversed(stages):
+    # heights grow with the stage: none past the first too long fits
+    stages = takewhile(lambda k: dag.height(k) <= min(len(region), dag.cap),
+                       range(ell, dag.max_stage + 1))
+    for k in reversed(list(stages)):
         block = dag.materialize(k)
         h = len(block)
         pos = region.find(block)

@@ -18,7 +18,8 @@ import json
 import os
 import sys
 from fractions import Fraction
-from itertools import islice
+from itertools import accumulate, islice, zip_longest
+from operator import mul
 
 from . import __version__
 from .blocks import DEFAULT_CAP, BlockDag
@@ -222,10 +223,11 @@ def _load_profile(run, depth_needed):
 def cmd_heights(run):
     params = _load(run)
     n = run.args.n
-    seq = heights(params, n)
-    rows = [(k, seq.h(k), seq.q(k) if k <= n else "") for k in range(1, n + 2)]
-    run.write_csv("heights.csv", ["stage", "height", "width"], rows)
-    print(",".join(str(h) for h in seq.heights))
+    hs = heights(params, n)
+    widths = accumulate(params.cuts[:n], mul)  # q_k = p_1 ... p_k; h_{n+1} has none
+    run.write_csv("heights.csv", ["stage", "height", "width"],
+                  zip_longest(range(1, n + 2), hs, widths, fillvalue=""))
+    print(",".join(map(str, hs)))
     return 0
 
 
@@ -715,6 +717,8 @@ def run_argv(argv, outdir=None):
     """Programmatic entry used by tests and manifest replay."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.cap < 0:
+        raise InputError(f"--cap {args.cap} is negative")
     if outdir is not None:
         args.out = outdir
     run = Run(args, argv)

@@ -2,10 +2,10 @@
 
 A rank-one construction is described by cutting numbers p_n >= 2 and spacer
 counts s_{n,0..p_n-1} >= 0, one row per stage.  Tower heights follow the exact
-recursion h_1 = 1, h_{n+1} = p_n*h_n + sum_j s_{n,j}; the products
-q_n = p_1*...*p_n give the widths of the underlying adding-machine towers.
-Everything here is arbitrary-precision integer or reduced-rational arithmetic:
-heights grow exponentially and floats would silently corrupt downstream
+recursion h_1 = 1, h_{n+1} = p_n*h_n + sum_j s_{n,j}, kept here once as a
+lazy generator that `heights` and `BlockDag.height` both read.  Everything
+here is arbitrary-precision integer or reduced-rational arithmetic: heights
+grow exponentially and floats would silently corrupt downstream
 certificates.
 
 Parameters are supplied as a finite prefix plus a generator rule (periodic
@@ -52,19 +52,13 @@ class ConstructionParams:
                 raise InputError(f"spacer row {n} must have p_{n} = {p} entries")
             if any((not isinstance(s, int)) or s < 0 for s in row):
                 raise InputError(f"spacer row {n} must be non-negative integers")
-        if self.family == "katok":
-            for n, (p, row) in enumerate(zip(self.cuts, self.spacers), start=1):
-                half = p // 2
-                if p % 2 or row != (0,) * half + (1,) * half:
-                    raise InputError(
-                        f"katok stage {n} needs an even cut and spacers 0^(p/2) 1^(p/2)"
-                    )
-        if self.family == "generalized_chacon":
+        shapes = {"katok": (_half_spacered, "an even cut and spacers 0^(p/2) 1^(p/2)"),
+                  "generalized_chacon": (_one_spacer, "exactly one spacer value 1")}
+        if self.family in shapes:
+            shape, rule = shapes[self.family]
             for n, row in enumerate(self.spacers, start=1):
-                if sorted(row) != [0] * (len(row) - 1) + [1]:
-                    raise InputError(
-                        f"generalized_chacon stage {n} needs exactly one spacer value 1"
-                    )
+                if not shape(row):
+                    raise InputError(f"{self.family} stage {n} needs {rule}")
 
     @property
     def depth(self):
@@ -100,37 +94,28 @@ class ConstructionParams:
         }
 
 
-@dataclass(frozen=True)
-class HeightSequence:
-    """Exact prefix h_1..h_{n+1} of tower heights with tower widths q_1..q_n."""
-
-    heights: tuple
-    products: tuple
-
-    def h(self, k):
-        if not 1 <= k <= len(self.heights):
-            raise RangeError(f"height index {k} outside 1..{len(self.heights)}")
-        return self.heights[k - 1]
-
-    def q(self, k):
-        if not 1 <= k <= len(self.products):
-            raise RangeError(f"width index {k} outside 1..{len(self.products)}")
-        return self.products[k - 1]
+def _one_spacer(row):
+    """Does the spacer row hold one spacer, a single 1 among 0s?"""
+    return sorted(row) == [0] * (len(row) - 1) + [1]
 
 
-def heights(params: ConstructionParams, n: int) -> HeightSequence:
-    """h_1..h_{n+1} and q_1..q_n by the exact recursion h_{n+1} = p_n h_n + sum s_{n,j}."""
+def _half_spacered(row):
+    """Is the spacer row 0^(p/2) 1^(p/2) for an even p = len(row)?"""
+    half = len(row) // 2
+    return len(row) % 2 == 0 and tuple(row) == (0,) * half + (1,) * half
+
+
+def _rising_heights(rows):
+    """h_1, h_2, ... from the spacer rows, lazily, by the one recursion
+    h_{n+1} = p_n h_n + sum_j s_{n,j} (p_n is the row's length)."""
+    return accumulate(rows, lambda h, row: len(row) * h + sum(row), initial=1)
+
+
+def heights(params: ConstructionParams, n: int) -> tuple:
+    """(h_1, ..., h_{n+1}) by the exact recursion h_{n+1} = p_n h_n + sum s_{n,j}."""
     if not 1 <= n <= params.depth:
         raise RangeError(f"stage {n} outside 1..{params.depth}")
-    hs = [1]
-    qs = []
-    q = 1
-    for k in range(1, n + 1):
-        p = params.cut(k)
-        hs.append(p * hs[-1] + sum(params.spacer_row(k)))
-        q *= p
-        qs.append(q)
-    return HeightSequence(tuple(hs), tuple(qs))
+    return tuple(_rising_heights(params.spacers[:n]))
 
 
 def finite_measure_partial_sums(params, n):
@@ -139,8 +124,8 @@ def finite_measure_partial_sums(params, n):
     The returned flag is a prefix heuristic only (last increment below
     1/1000); convergence of the series is not decidable from a prefix.
     """
-    seq = heights(params, n)
-    incs = [Fraction(sum(params.spacer_row(k)), seq.h(k + 1)) for k in range(1, n + 1)]
+    hs = heights(params, n)
+    incs = [Fraction(sum(row), h) for row, h in zip(params.spacers, hs[1:])]
     return list(accumulate(incs)), incs[-1] < Fraction(1, 1000)
 
 
@@ -149,13 +134,9 @@ def spacer_stats(params, n):
 
     The flag is a heuristic monotone-decrease check of the ratios over the
     prefix (constructions are "reasonable" when t_n = o(h_n))."""
-    seq = heights(params, n)
-    ts = [max(params.spacer_row(k)) for k in range(1, n + 1)]
-    ratios = []
-    run = 0
-    for k, t in enumerate(ts, start=1):
-        run += t
-        ratios.append(Fraction(run, seq.h(k)))
+    hs = heights(params, n)
+    ts = [max(row) for row in params.spacers[:n]]
+    ratios = [Fraction(run, h) for run, h in zip(accumulate(ts), hs)]
     reasonable = all(ratios[i + 1] <= ratios[i] for i in range(len(ratios) - 1))
     reasonable = reasonable and (not ratios or ratios[-1] < 1)
     return ts, ratios, reasonable

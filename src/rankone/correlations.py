@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .blocks import _check_word
+from .construction import _half_spacered, _one_spacer, heights
 from .errors import InputError, RangeError, Refusal
 from .odometer import cocycle_distribution
 
@@ -168,9 +169,8 @@ def verify_rigid_one_spacer(dag, alpha, stage, pairs, powers=(1,), scan_stage=No
     alpha = Fraction(alpha)
     if not 0 < alpha < 1:
         raise InputError("alpha must lie strictly between 0 and 1")
-    for row in params.spacers:
-        if sorted(row) != [0] * (len(row) - 1) + [1]:
-            raise InputError("needs the one-spacer-per-stage family")
+    if not all(map(_one_spacer, params.spacers)):
+        raise InputError("needs the one-spacer-per-stage family")
     if not all(a < b for a, b in zip(params.cuts, params.cuts[1:])):
         raise InputError("the rigidity limit needs cuts growing to infinity")
     bad = [j for j in powers if not 0 < j * alpha < 1]
@@ -223,10 +223,8 @@ def verify_half_spacer_mixing(
     if not 0 < alpha < 1:
         raise InputError("alpha must lie strictly between 0 and 1")
     params = dag.params
-    for row in params.spacers:
-        half = len(row) // 2
-        if len(row) % 2 or tuple(row) != (0,) * half + (1,) * half:
-            raise InputError("needs the half-spacered family: spacers 0^(p/2) 1^(p/2) per stage")
+    if not all(map(_half_spacered, params.spacers)):
+        raise InputError("needs the half-spacered family: spacers 0^(p/2) 1^(p/2) per stage")
     h, target, slack, cands = _shift_window(dag, alpha, stage)
     if shift_count < 1 or shift_count % (h + 1) != 0 or abs(shift_count - target) > slack:
         raise Refusal(
@@ -234,7 +232,7 @@ def verify_half_spacer_mixing(
             f"{slack} of {float(target):.1f}; nearest candidates: {cands}"
         )
     # prefix diagnostic of the fast-growth hypothesis
-    ratios = [Fraction(params.cut(k), dag.height(k)) for k in range(1, params.depth + 1)]
+    ratios = [Fraction(p, h) for p, h in zip(params.cuts, heights(params, params.depth))]
     growing = all(a < b for a, b in zip(ratios, ratios[1:]))
     lag = shift_count * h
     scan = _scan_stage_for(dag, lag, _word_margin(pairs, 2), scan_stage, deepest=True)

@@ -20,10 +20,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import reduce
+from itertools import islice
 from math import gcd, isqrt
 
-from .construction import json_ints
-from .construction import heights as _heights
+from .construction import _rising_heights, json_ints
 from .errors import InputError, RangeError, Refusal
 from .odometer import IntegerDistribution, _window_distribution
 
@@ -413,11 +414,9 @@ def eigenvalue_search(params, max_order, stage_range):
     n0, n1 = stage_range
     if not 1 <= n0 <= n1 <= params.depth:
         raise RangeError("stage range outside the prefix")
-    seq = _heights(params, n1)
-    g = 0
-    for n in range(n0, n1 + 1):
-        for s in params.spacer_row(n)[: params.cut(n) - 1]:
-            g = gcd(g, seq.h(n) + s)
+    rows = islice(params.spacers, n0 - 1, n1)
+    rising = islice(_rising_heights(params.spacers), n0 - 1, None)  # h_{n0}, h_{n0+1}, ...
+    g = reduce(gcd, (h + s for row, h in zip(rows, rising) for s in row[:-1]), 0)
     # the orders are divisors of g, found in pairs (d, g // d) with d <= sqrt(g)
     pairs = ((d, g // d) for d in range(1, min(isqrt(g), max_order) + 1) if g % d == 0)
     return tuple(sorted({k for pair in pairs for k in pair if 2 <= k <= max_order}))

@@ -9,6 +9,7 @@ explicit counterexamples).
 """
 
 import csv
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -86,15 +87,15 @@ def test_criterion_01_block_identity():
     }
     for name, params in families.items():
         dag = BlockDag(params)
-        seq = heights(params, 20)
+        hs = heights(params, 20)
         for n in range(1, 21):
-            h = seq.h(n)
+            h = hs[n - 1]
             if h <= 1_000_000:
                 ok = ok and len(dag.materialize(n)) == h
             if n >= 2:
                 # the child layout must tile the block exactly
                 starts = [c for _, _, c in dag.segments(n, 0, h) if c is not None]
-                last_end = starts[-1] + seq.h(n - 1) + params.spacer_row(n - 1)[-1]
+                last_end = starts[-1] + hs[n - 2] + params.spacer_row(n - 1)[-1]
                 ok = ok and last_end == h and starts[0] == 0
     report("criterion 1: block identity and lengths", ok)
 
@@ -142,8 +143,8 @@ def test_criterion_02_cocycle_identities_exact():
             continue
         spacers = tuple(tuple(rng.randint(0, 3) for _ in range(p)) for p in cuts)
         params = ConstructionParams(tuple(cuts), spacers)
-        seq = heights(params, n)
-        q_n = seq.q(n)
+        hs = heights(params, n)
+        q_n = math.prod(params.cuts[:n])
         rows = params.spacers
         full = [p - 1 for p in cuts]
 
@@ -171,17 +172,17 @@ def test_criterion_02_cocycle_identities_exact():
             assert all(pref[k + j * q_n] - pref[k] == j * total for k in range(q_n))
         vals = _orbit_values(cuts[:n], roof_to, 2 * q_n)
         pref, _ = _prefix(vals)
-        assert all(pref[k + q_n] - pref[k] == seq.h(n + 1) for k in range(q_n))
+        assert all(pref[k + q_n] - pref[k] == hs[n] for k in range(q_n))
 
         # spread-function identity at a shallower stage over a full depth-r
         # enumeration: every base point where both sides are determined
-        r = max(k for k in range(1, n + 1) if seq.q(k) <= 8000)
-        np_candidates = [k for k in range(1, r - 1) if seq.q(k) <= 100]
+        r = max(k for k in range(1, n + 1) if math.prod(params.cuts[:k]) <= 8000)
+        np_candidates = [k for k in range(1, r - 1) if math.prod(params.cuts[:k]) <= 100]
         if not np_candidates:
             continue
         n_small = max(np_candidates)
-        q_small = seq.q(n_small)
-        q_r = seq.q(r)
+        q_small = math.prod(params.cuts[:n_small])
+        q_r = math.prod(params.cuts[:r])
 
         def ftail(coords):
             t0 = None
@@ -229,7 +230,7 @@ def test_criterion_02_cocycle_identities_exact():
                     checked += 1
                 if rnone[k + span] - rnone[k] == 0:
                     lhs = rpref[k + span] - rpref[k]
-                    assert lhs - j * seq.h(n_small + 1) == rhs
+                    assert lhs - j * hs[n_small] == rhs
         assert checked > 0
 
         # the public point API agrees with the inline enumeration

@@ -58,10 +58,10 @@ def test_materialize_cap_refusal():
 def test_lengths_match_heights():
     for params in (chacon(10), von_neumann_kakutani(12), katok(cuts=(4, 8, 16))):
         dag = BlockDag(params)
-        seq = heights(params, params.depth)
+        hs = heights(params, params.depth)
         for n in range(1, params.depth + 2):
-            if seq.h(n) <= 100_000:
-                assert len(dag.materialize(n)) == seq.h(n)
+            if hs[n - 1] <= 100_000:
+                assert len(dag.materialize(n)) == hs[n - 1]
 
 
 def test_layout_is_built_to_the_deepest_stage_read():
@@ -80,10 +80,10 @@ def test_layout_is_built_to_the_deepest_stage_read():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
-    assert dag._heights[1:] == list(heights(chacon(15), 15).heights)
-    seq = heights(chacon(4), 4)
+    assert dag._heights[1:] == list(heights(chacon(15), 15))
+    hs = heights(chacon(4), 4)
     for cap in (0, 1, 12, 13, 40, 41, 10**9):
-        expected = max((n for n in range(1, 6) if seq.h(n) <= cap), default=None)
+        expected = max((n for n in range(1, 6) if hs[n - 1] <= cap), default=None)
         assert BlockDag(chacon(4), cap=cap).deepest_materializable() == expected
 
 
@@ -112,11 +112,11 @@ def test_extract_matches_block_slices(seed, limit, data):
     # 2 or 8 symbols, so every read ending beyond it descends the layout; a
     # cap as tiny stops no read, since extraction never reads the cap itself
     params = random_bounded_params(random.Random(seed), depth=6, max_spacer=20)
-    seq = heights(params, params.depth)
-    top = max(k for k in range(2, params.depth + 2) if seq.h(k) <= 20_000)
+    hs = heights(params, params.depth)
+    top = max(k for k in range(2, params.depth + 2) if hs[k - 1] <= 20_000)
     n = data.draw(st.integers(2, top))
     word = _block(params, n)
-    h, row = seq.h(n - 1), params.spacers[n - 2]
+    h, row = hs[n - 2], params.spacers[n - 2]
     j = data.draw(st.integers(0, len(row) - 1))
     copy = list(accumulate((h + s for s in row[:-1]), initial=0))[j]
 
@@ -242,9 +242,9 @@ def test_count_overlapping_memory_follows_the_chunk_not_the_word():
 def test_count_recursion_equals_naive_scan(seed, w1, w2, limit, data):
     # spacer runs up to 20 are both longer and shorter than twice the span
     params = random_bounded_params(random.Random(seed), depth=6, max_spacer=20)
-    seq = heights(params, params.depth)
-    stage = max(n for n in range(1, params.depth + 2) if seq.h(n) <= 100_000)
-    if seq.h(stage) < max(len(w1), len(w2)):
+    hs = heights(params, params.depth)
+    stage = max(n for n in range(1, params.depth + 2) if hs[n - 1] <= 100_000)
+    if hs[stage - 1] < max(len(w1), len(w2)):
         return
     text = BlockDag(params).materialize(stage)
     # an empty w2 counts occurrences of w1; a short lag keeps the span below
@@ -316,7 +316,7 @@ def test_count_cap_is_longest_string_built(monkeypatch):
     for _ in range(40):
         params = random_bounded_params(rng, depth=6, max_spacer=20)
         stage = params.depth + 1
-        h = heights(params, params.depth).h(stage)
+        h = heights(params, params.depth)[stage - 1]
         for span in {1, 2, 5, 17, max(1, h // 5), max(1, h // 2), h}:
             dag = BlockDag(params, cap=rng.choice((1, 2, 8)))
             queries = [("0" * span, "", 0), ("0", "0", span - 1)]
@@ -455,6 +455,22 @@ def test_eventual_period():
     assert eventual_period(capped, 100, 3) is None
 
 
+def test_bounded_readers_build_no_stage_past_their_bound():
+    # a prefix of 1000 symbols lies in B_7, which the constructor's prefix
+    # block already holds; the best-effort cover of "1100000" looks for blocks
+    # of at most 5 symbols, and the search for a block holding the word stops
+    # at the first block above the cap
+    params = chacon(20_000)
+    dag = BlockDag(params)
+    built = len(dag._heights)
+    assert eventual_period(dag, 1000, 50) is None
+    assert len(dag._heights) == built
+    dag = BlockDag(params)
+    dec = abc_decompose(dag, "1100000", 1, 3)
+    assert not dec.valid and dec.cover == ()
+    assert len(dag._heights) - 1 == dag.deepest_materializable() + 1
+
+
 def test_spacer_order_examples():
     dag = BlockDag(chacon(4))
     assert spacer_order(dag, 3, 9) == 3
@@ -572,7 +588,7 @@ def test_abc_threshold():
     params = chacon(20)
     eps = Fraction(1, 8)
     threshold = abc_threshold(params, eps, 8)
-    h8 = heights(params, 8).h(8)
+    h8 = heights(params, 8)[7]
     assert threshold == int(4 * h8 / eps) + 1
     # ratios too large at ell = 1
     assert abc_threshold(params, Fraction(1, 8), 1) is None

@@ -626,6 +626,9 @@ MALFORMED_MESSAGES = {
     "katok-huge-cut": "1000000004 spacer entries in stages 1..2 exceed 10000000",
     "generalized-chacon-huge-cut": "1000000004 spacer entries in stages 1..2",
     "custom-periodic-huge-depth": "10000002 spacer entries in stages 1..5000001",
+    "correlate-negative-cap": "--cap -1 is negative",
+    "blocks-negative-cap": "--cap -5 is negative",
+    "heights-negative-cap": "--cap -1 is negative",
 }
 
 
@@ -711,6 +714,11 @@ MALFORMED_MESSAGES = {
         ["heights", "--config", "{tmp}/katok-huge-cut.json", "-n", "1"],
         ["heights", "--config", "{tmp}/generalized-chacon-huge-cut.json", "-n", "1"],
         ["heights", "--config", "{tmp}/custom-huge-depth.json", "-n", "1"],
+        # a negative cap is refused as parsed, before the output directory is made
+        ["correlate", "--config", "chacon:depth=8", "--stage", "5", "--w1", "0", "--w2", "0",
+         "--lag", "3", "--cap", "-1"],
+        ["blocks", "--config", "chacon:depth=8", "--stage", "3", "--cap", "-5"],
+        ["heights", "--config", "chacon:depth=8", "-n", "3", "--cap", "-1"],
     ],
     ids=["missing-config", "bad-family-arg", "bad-pairs", "list-config", "start-0",
          "start-0-small-cap", "bad-powers",
@@ -730,7 +738,8 @@ MALFORMED_MESSAGES = {
          "pj-prefix-too-short", "certify-katok-default-depth", "pj-depth-past-prefix",
          "profile-window-past-prefix", "katok-scan-stage-too-shallow", "classify-max-order-1",
          "eigen-max-order-1", "katok-default-depth-26", "katok-huge-cut",
-         "generalized-chacon-huge-cut", "custom-periodic-huge-depth"],
+         "generalized-chacon-huge-cut", "custom-periodic-huge-depth", "correlate-negative-cap",
+         "blocks-negative-cap", "heights-negative-cap"],
 )
 def test_malformed_input_exits_2(tmp_path, capsys, request, argv):
     for name, doc in MALFORMED_DOCS.items():
@@ -740,6 +749,8 @@ def test_malformed_input_exits_2(tmp_path, capsys, request, argv):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert MALFORMED_MESSAGES.get(request.node.callspec.id, "") in err
+    if request.node.callspec.id.endswith("negative-cap"):
+        assert not (tmp_path / "out").exists()
 
 
 # -- argv fuzzing ---------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -23,18 +24,17 @@ from conftest import random_bounded_params
 
 
 def test_heights_chacon():
-    seq = heights(chacon(5), 3)
-    assert seq.heights == (1, 4, 13, 40)
-    assert seq.products == (3, 9, 27)
+    params = chacon(5)
+    assert heights(params, 3) == (1, 4, 13, 40)
+    assert tuple(math.prod(params.cuts[:n]) for n in range(1, 4)) == (3, 9, 27)
 
 
 def test_heights_vnk():
-    assert heights(von_neumann_kakutani(3), 3).heights == (1, 2, 4, 8)
+    assert heights(von_neumann_kakutani(3), 3) == (1, 2, 4, 8)
 
 
 def test_heights_katok_prefix():
-    seq = heights(katok(cuts=(4, 8)), 2)
-    assert seq.heights == (1, 6, 52)
+    assert heights(katok(cuts=(4, 8)), 2) == (1, 6, 52)
 
 
 def test_heights_range_error():
@@ -55,15 +55,15 @@ params_strategy = st.integers(0, 2**32 - 1).map(
 @given(params_strategy)
 @settings(max_examples=60, deadline=None)
 def test_heights_recursion_invariant(params):
-    seq = heights(params, params.depth)
+    hs = heights(params, params.depth)
     for n in range(1, params.depth + 1):
-        expected = params.cut(n) * seq.h(n) + sum(params.spacer_row(n))
-        assert seq.h(n + 1) == expected
-        assert seq.h(n + 1) >= 2 * seq.h(n)
+        expected = params.cut(n) * hs[n - 1] + sum(params.spacer_row(n))
+        assert hs[n] == expected
+        assert hs[n] >= 2 * hs[n - 1]
     q = 1
     for n in range(1, params.depth + 1):
         q *= params.cut(n)
-        assert seq.q(n) == q
+        assert math.prod(params.cuts[:n]) == q
 
 
 def test_partial_sums_chacon():

@@ -348,6 +348,17 @@ def test_half_spacer_refusal_names_candidates():
     assert row.estimate.lag == 56
 
 
+def test_half_spacer_builds_layouts_through_its_scan_stage():
+    # the growth diagnostic reads the heights, not the layout: the dag is
+    # built through the scan stage and the first stage above the cap, which
+    # ends the search for it, not through the depth
+    dag = BlockDag(katok(depth=20))
+    (row,) = verify_half_spacer_mixing(dag, Fraction(1, 2), 1, 2, [("0", "1")],
+                                       sample_budget=1000)
+    assert row.estimate.stage == 6
+    assert len(dag._layout) - 1 == row.estimate.stage + 1 < 20
+
+
 def test_half_spacer_small_run():
     dag = BlockDag(katok(cuts=(100, 30000)))
     rows = verify_half_spacer_mixing(

@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
@@ -244,6 +245,19 @@ def test_classify_trio(rng):
     assert result.eigenvalue_orders == (2,)
 
 
+def test_classify_folds_heights_without_holding_them():
+    # the eigenvalue gcd folds h_n + s over the height recursion as it runs:
+    # a depth-20000 chacon's heights and widths held whole take 80 MiB
+    tracemalloc.start()
+    try:
+        kind = classify(chacon(20_000)).kind
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert kind == "WEAKLY_MIXING_CANDIDATE"
+    assert peak < 4 * 2**20
+
+
 def test_eigenvalue_search_examples():
     assert eigenvalue_search(chacon(20), 12, (3, 20)) == ()
     zs = ConstructionParams(cuts=(2,) * 12, spacers=((0, 0),) * 12)
@@ -262,8 +276,8 @@ def test_eigenvalue_search_equals_the_brute_force_filter():
         params = ConstructionParams(cuts, spacers)
         n0 = rng.randint(1, params.depth)
         n1 = rng.randint(n0, params.depth)
-        seq = heights(params, n1)
-        terms = [seq.h(n) + s for n in range(n0, n1 + 1) for s in params.spacer_row(n)[:-1]]
+        hs = heights(params, n1)
+        terms = [hs[n - 1] + s for n in range(n0, n1 + 1) for s in params.spacer_row(n)[:-1]]
         g = 0
         for t in terms:
             g = gcd(g, t)

@@ -85,7 +85,7 @@ def test_g_function_matches_definition(rng):
         params = random_bounded_params(rng, depth=5)
         n = rng.randint(1, 3)
         depth = 5
-        q_n = heights(params, n).q(n)
+        q_n = prod(params.cuts[:n])
         coords = tuple(rng.randrange(p) for p in params.cuts[:depth])
         y = OdometerPoint(coords, params.cuts[:depth])
         steps = q_n - 1 - tower_index(y, n)
@@ -116,7 +116,7 @@ def test_cocycle_sum_multiples(rng):
     # j-fold full-width sums scale linearly for stage cocycles
     for _ in range(10):
         params, n = random_params_with_width_cap(rng, 30, depth_extra=3)
-        q_n = heights(params, n).q(n)
+        q_n = prod(params.cuts[:n])
         depth = params.depth
         # zero the trailing coordinates so long orbits stay inside the truncation
         coords = tuple(rng.randrange(p) for p in params.cuts[: depth - 3]) + (0, 0, 0)
@@ -142,8 +142,8 @@ def test_roof_decomposition_identity(rng):
     for _ in range(10):
         params, n = random_params_with_width_cap(rng, 20, depth_extra=3)
         depth = params.depth
-        seq = heights(params, depth)
-        q_n = seq.q(n)
+        hs = heights(params, depth)
+        q_n = prod(params.cuts[:n])
         for _ in range(5):
             coords = tuple(rng.randrange(p) for p in params.cuts[:depth])
             y = OdometerPoint(coords, params.cuts[:depth])
@@ -166,7 +166,7 @@ def test_roof_decomposition_identity(rng):
                         ok = False
                         break
                 if ok:
-                    assert lhs - j * seq.h(n + 1) == rhs
+                    assert lhs - j * hs[n] == rhs
 
 
 def test_distribution_validation():
