@@ -26,7 +26,7 @@ from functools import partial, reduce
 from itertools import accumulate, compress, count, islice, repeat, takewhile
 from operator import add, floordiv, ge, getitem, le, mod, not_, sub
 
-from .construction import ConstructionParams, _rising_heights, heights, spacer_stats
+from .construction import ConstructionParams, _rising_heights
 from .errors import InputError, RangeError, Refusal
 
 DEFAULT_CAP = 10_000_000
@@ -571,10 +571,18 @@ def abc_threshold(params, eps, ell):
     eps = Fraction(eps)
     if eps <= 0 or ell < 1:
         raise InputError("need eps > 0 and ell >= 1")
-    _, ratios, _ = spacer_stats(params, params.depth)
-    if max(ratios[ell - 1:], default=Fraction(1)) >= eps / 4:
+    # (t_1+...+t_n, h_n) for n >= ell, each compared with eps/4 in integers as
+    # the heights rise, so no stage's ratio or height is kept
+    stages = zip(accumulate(map(max, params.spacers)), _rising_heights(params.spacers))
+    if any(4 * run * eps.denominator >= eps.numerator * h
+           for run, h in islice(stages, ell - 1, None)):
         return None
-    return int(4 * heights(params, ell)[ell - 1] / eps) + 1
+    if ell > params.depth:  # no stage from ell on: the sup is taken as 1, and h_ell is out of range
+        if 4 * eps.denominator >= eps.numerator:
+            return None
+        raise RangeError(f"stage {ell} outside 1..{params.depth}")
+    h_ell = next(islice(_rising_heights(params.spacers), ell - 1, None))
+    return 4 * h_ell * eps.denominator // eps.numerator + 1
 
 
 @dataclass(frozen=True)

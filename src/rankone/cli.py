@@ -737,6 +737,11 @@ def replay_manifest(manifest_path, outdir):
 
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
+    # exact integers are read and written in decimal whatever their length:
+    # lift CPython's cap on that conversion (3.10.7 on) for this call only
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         code, _ = run_argv(argv)
         return code
@@ -746,6 +751,9 @@ def main(argv=None):
     except Refusal as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 3
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

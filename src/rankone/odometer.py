@@ -275,7 +275,10 @@ def _window_distribution_enum(window, j, cap):
     repunit of j slots of 1, shifted down j - 1 slots, forms every start's sum
     at once.  No slot carries: a slot holds j times the largest excess.  A
     segment holds max(SLIDE, j) + j - 1 slots, so each level is read at most
-    twice, and memory grows with j past SLIDE.
+    twice, and memory grows with j past SLIDE.  When every sum of a segment
+    fits in its low byte, those bytes alone are tallied, one value per pass
+    that deletes it; otherwise, or once a pass finds a value holding under
+    1/32 of the bytes left, a Counter takes the sums point by point.
     Returns (counts by value, tail count, number of points), as the recursion
     does."""
     size = prod(p for p, _ in window)
@@ -286,6 +289,7 @@ def _window_distribution_enum(window, j, cap):
     code = next((c for c in "BHIQ" if array(c).itemsize == width), None)
     n, step = max(size - j, 0), max(SLIDE, j)  # the first n starts stay below the last level
     repunit = ((1 << j * bits) - 1) // ((1 << bits) - 1)  # j slots of 1
+    first = 0 if sys.byteorder == "little" else width - 1  # the low byte of a native slot
     counts = Counter()
     for lo in range(0, n, step):
         hi = min(lo + step, n)
@@ -293,8 +297,20 @@ def _window_distribution_enum(window, j, cap):
         total = run * repunit >> (j - 1) * bits  # slot t sums the levels t..t+j-1
         # the sums of starts lo..hi-1, in native byte order for the cast
         sums = (total & (1 << (hi - lo) * bits) - 1).to_bytes((hi - lo) * width, sys.byteorder)
-        counts.update(memoryview(sums).cast(code) if code else (
-            int.from_bytes(sums[i:i + width], sys.byteorder) for i in range(0, len(sums), width)))
+        low = sums[first::width]
+        if width > 1 and sums.count(0) - low.count(0) != len(low) * (width - 1):
+            counts.update(memoryview(sums).cast(code) if code else (
+                int.from_bytes(sums[i:i + width], sys.byteorder) for i in range(0, len(sums), width)))
+            continue
+        while low:  # every sum is its low byte: count one value per deleting pass
+            rest = low.translate(None, low[:1])
+            counts[low[0]] += len(low) - len(rest)
+            # a pass costs ~1 ns a byte, a Counter step ~45 ns (CPython 3.11, x86-64):
+            # a value under 1/32 of the bytes left hands them all to the Counter
+            if 32 * (len(low) - len(rest)) < len(low):
+                counts.update(rest)
+                break
+            low = rest
     return counts, size - n, size
 
 

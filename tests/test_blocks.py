@@ -594,6 +594,42 @@ def test_abc_threshold():
     assert abc_threshold(params, Fraction(1, 8), 1) is None
 
 
+def _abc_threshold_reference(params, eps, ell):
+    """The sup of the spacer_stats ratios from stage ell on against eps/4; a
+    prefix shorter than ell takes the sup as 1, and eps/4 above it asks for h_ell."""
+    _, ratios, _ = spacer_stats(params, params.depth)
+    if max(ratios[ell - 1:], default=Fraction(1)) >= eps / 4:
+        return None
+    return int(4 * heights(params, ell)[ell - 1] / eps) + 1
+
+
+def test_abc_threshold_equals_spacer_stats_reference(rng):
+    for _ in range(200):
+        params = random_bounded_params(rng, max_spacer=rng.choice((0, 1, 3)))
+        eps = Fraction(rng.randint(1, 40), rng.randint(1, 12))
+        ell = rng.randint(1, params.depth + 2)
+        try:
+            expected = _abc_threshold_reference(params, eps, ell)
+        except RangeError:  # eps/4 above 1 past the prefix
+            assert ell > params.depth and eps > 4
+            with pytest.raises(RangeError):
+                abc_threshold(params, eps, ell)
+            continue
+        assert abc_threshold(params, eps, ell) == expected
+
+
+def test_abc_threshold_keeps_no_stage():
+    # a depth-20000 chacon's ratios held as Fractions peak at 84 MiB
+    tracemalloc.start()
+    try:
+        threshold = abc_threshold(chacon(20_000), Fraction(1, 8), 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert threshold == 32 * heights(chacon(8), 8)[7] + 1
+    assert peak < 2 * 2**20
+
+
 def test_abc_postcondition_smoke(rng):
     eps = Fraction(1, 8)
     params = chacon(18)

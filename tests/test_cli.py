@@ -9,7 +9,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import rankone
@@ -440,6 +440,24 @@ def test_exit_codes(tmp_path):
     assert err.value.code == 2
 
 
+# a custom construction with a 5001-digit spacer, past CPython's default cap
+# of 4300 digits on decimal conversion
+BIG_SPACER = '{"cuts": [2], "spacers": [[0, 1' + "0" * 5000 + ']]}'
+
+
+def test_main_converts_integers_of_any_length(tmp_path, capsys):
+    config = tmp_path / "big.json"
+    config.write_text(BIG_SPACER)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    out = tmp_path / "out"
+    assert main(["heights", "--config", str(config), "-n", "1", "--out", str(out)]) == 0
+    # h_2 = p_1 h_1 + s_{1,0} + s_{1,1} = 10^5000 + 2, exactly
+    h2 = "1" + "0" * 4999 + "2"
+    assert read_csv(out / "heights.csv")[1:] == [["1", "1", "2"], ["2", h2, ""]]
+    assert capsys.readouterr().out.split() == [f"1,{h2}"]
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
 def test_env_default_outdir(tmp_path, monkeypatch):
     monkeypatch.setenv("RANKONE_OUT", str(tmp_path / "envout"))
     code, _ = run_argv(["heights", "--config", "vnk:depth=3", "-n", "2"])
@@ -841,9 +859,14 @@ def fuzz_argv(draw):
 @settings(max_examples=500, derandomize=True, database=None, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(argv=fuzz_argv())
+@example(argv=["heights", "--config", "big.json", "-n", "1"])
 def test_argv_fuzz_exit_codes(tmp_path, argv):
     # every outcome is an exit code: 0 success, 2 input error, 3 refusal;
-    # argparse's SystemExit counts, any other exception fails the test
+    # argparse's SystemExit counts, any other exception fails the test.
+    # "big.json" names the BIG_SPACER document
+    if "big.json" in argv:
+        (tmp_path / "big.json").write_text(BIG_SPACER)
+        argv = [str(tmp_path / "big.json") if a == "big.json" else a for a in argv]
     try:
         code = main(argv + ["--out", str(tmp_path)])
     except SystemExit as exc:

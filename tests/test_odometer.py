@@ -239,6 +239,33 @@ def test_enumeration_equals_point_walk(rng, big, monkeypatch):
                 assert cocycle_distribution(params, n, j, depth, method="enumerate") == expected
 
 
+TALLY_WINDOWS = {
+    # 2-byte slots (top 600) whose sums stay at most 52: every segment's sums
+    # fit in their low bytes
+    "fits-in-low-bytes": (odometer.stage_window(chacon(10), 2, 6), 100, 2),
+    # 2-byte slots whose sums run 150..549: a segment passing 255 keeps the
+    # Counter tally, and one-start segments at SLIDE 1 and 3 take either path
+    "passes-255": (((3, (200, 0, 90)), (2, (150, 60)), (4, (0, 199, 3, 7))), 2, 2),
+    # 1-byte slots with 250 near-uniform distinct sums: one deleting pass,
+    # then the Counter takes the rest
+    "many-distinct": (((250, tuple(random.Random(5).sample(range(250), 250))), (2, (0, 5))), 1, 1),
+}
+
+
+@pytest.mark.parametrize("slide", [1, 3, 2**16])
+@pytest.mark.parametrize("case", sorted(TALLY_WINDOWS))
+def test_enumeration_tally_equals_recursion(case, slide, monkeypatch):
+    window, j, width = TALLY_WINDOWS[case]
+    assert odometer._level_excess(window, j)[1] == width
+    monkeypatch.setattr(odometer, "SLIDE", slide)
+    expected = odometer._window_distribution(window, j, "convolution")
+    assert odometer._window_distribution(window, j, "enumerate") == expected
+    values = expected.support()
+    assert {"fits-in-low-bytes": values[-1] <= 255,
+            "passes-255": values[0] <= 255 < values[-1],
+            "many-distinct": len(values) >= 200}[case]
+
+
 @pytest.mark.parametrize(
     "top, typecode",
     [(255, "B"), (256, "H"), (65_535, "H"), (65_536, "I"), (2**32, "Q"), (2**64 - 1, "Q"),
