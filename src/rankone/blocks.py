@@ -33,6 +33,7 @@ DEFAULT_CAP = 10_000_000
 PREFIX_LIMIT = 1 << 17
 _FLAT = 1 << 14  # copies of its lower block a flat level of the sampler holds, at most
 _CHUNK = 1 << 11  # draws the sampler settles together
+_PAIRS = 1 << 24  # bytes of pair tables the sampler's lowest level holds, at most (the cap, if higher)
 
 
 def _check_word(word):
@@ -110,29 +111,22 @@ def _reader(dag, w1, w2, lag, span):
     return read
 
 
-def _level(dag, n, k, span, table, read):
-    """The settler of one flat level, B_n as copies of B_k each followed by
-    its gap, the run of "1"s that sums the trailing spacer runs of the blocks
-    the copy ends: it takes offsets in B_n and returns the offsets in B_k of
-    those whose span stays inside a copy, with the hits of the rest.  Those
-    are read from the hit table (`table`) of tail + "1" * gap + head, the
-    last and first span - 1 symbols of B_k, one per distinct gap, shortest
-    first while their total fits under the cap; a gap left without one is
-    read by `read`.
-
-    Copies start at least h_k apart, so a draw's copy is the one its bucket
-    lo // h_k starts in, or the next: the offset from the bucket's copy start
-    modulo that copy's period (h_k + its gap).  `read` takes every draw where
-    no span fits in B_k, or where the gaps fill half of B_n or more, which
-    would make twice as many buckets as copies."""
+def _buckets(dag, n, k):
+    """The bucket index of B_n as copies of B_k, each followed by its gap,
+    the run of "1"s that sums the trailing spacer runs of the blocks the copy
+    ends: (gaps, starts, idx), the copies' gaps and start offsets, and per
+    bucket b the copy idx[b] whose start or gap holds the offset b * h_k.
+    Copies start at least h_k apart, so a draw lo of bucket lo // h_k lies in
+    that copy, its gap or the next copy.  None where the gaps fill half of B_n
+    or more, which would make twice as many buckets as copies."""
     h = dag._heights[k]
     gaps = [0]
     for j in range(k + 1, n + 1):
         row, c = dag._layout[j][1], len(gaps)
         gaps *= len(row)
         gaps[c - 1::c] = map(add, gaps[c - 1::c], row)
-    if span > h or dag._heights[n] // h >= 2 * len(gaps):
-        return lambda los: ([], sum(map(read, repeat(n), los)))
+    if dag._heights[n] // h >= 2 * len(gaps):
+        return None
     starts = list(accumulate(map(add, gaps, repeat(h)), initial=0))
     # bucket b belongs to the last copy c with c * h + (the gaps before c)
     # <= b * h: each copy opens one bucket, and each multiple e * h the gaps
@@ -142,18 +136,46 @@ def _level(dag, n, k, span, table, read):
     opens = bytearray(b"\1") * (len(gaps) + -(-spill[-1] // h))
     for b in map(add, map(bisect_right, repeat(spill), range(0, spill[-1], h)), count()):
         opens[b] = 0
-    idx = list(islice(accumulate(opens, initial=-1), 1, None))
+    del spill
+    return gaps, starts, list(islice(accumulate(opens, initial=-1), 1, None))
+
+
+def _seam_tables(dag, k, span, gaps, table):
+    """{gap: the hit table (`table`) of tail + "1" * gap + head}, tail and
+    head the last and first span - 1 symbols of B_k, for the distinct `gaps`
+    shortest first while the seam strings' total fits under the cap."""
+    h = dag._heights[k]
+    tail, head = dag._extract(k, h - span + 1, h), dag._extract(k, 0, span - 1)
+    seams, size = {}, 0
+    for g in sorted(set(gaps)):
+        size += 2 * span - 2 + g
+        if size > dag.cap:
+            break
+        seams[g] = table(tail + "1" * g + head)
+    return seams
+
+
+def _level(dag, n, k, span, table, read):
+    """The settler of an upper flat level (`_buckets`): it takes offsets in
+    B_n and returns the offsets in B_k of those whose span stays inside a
+    copy, with the hits of the rest, read from the seam table of the gap
+    they cross (`_seam_tables`); a gap left without one is read by `read`.
+
+    A draw's offset from its bucket's copy start, modulo that copy's period
+    (h_k + its gap), is its offset in the copy or the next one.  `read` takes
+    every draw where no span fits in B_k, or where the gaps fill the level."""
+    h = dag._heights[k]
+    index = None if span > h else _buckets(dag, n, k)
+    if index is None:
+        return lambda los: ([], sum(map(read, repeat(n), los)))
+    gaps, starts, idx = index
     base = list(_get(starts, idx))
     period = list(map(add, _get(gaps, idx), repeat(h)))
-    tail, head = dag._extract(k, h - span + 1, h), dag._extract(k, 0, span - 1)
-    at, tables, size, distinct = {}, [], 0, sorted(set(gaps))
-    for g in distinct:
-        if size + 2 * span - 2 + g > dag.cap:
-            break
-        at[g] = size - (h - span + 1)  # a seam draw's table index less its offset
-        tables.append(table(tail + "1" * g + head))
-        size += 2 * span - 2 + g
-    seam, lost = b"".join(tables), len(at) < len(distinct)
+    del starts
+    seams = _seam_tables(dag, k, span, gaps, table)
+    # a seam draw's index in `seam` less its offset in the copy
+    at = dict(zip(seams, accumulate(map(len, seams.values()), initial=span - 1 - h)))
+    seam, lost = b"".join(seams.values()), len(seams) < len(set(gaps))
 
     def settle(los):
         bs = list(map(floordiv, los, repeat(h)))
@@ -176,8 +198,46 @@ def _level(dag, n, k, span, table, read):
     return settle
 
 
+def _pairs(dag, n, k, span, table, read):
+    """The settler of the lowest flat level (`_buckets`): it takes offsets
+    in B_n and returns their hits, each read from one table.
+
+    A draw of bucket b lies less than 2 * h_k + g past the start of its
+    copy c = idx[b], where g is c's gap and g' the next copy's.  So the hits
+    of B_k 1^g B_k 1^g' head over [0, 2 * h_k + g), one table per distinct
+    pair (g, g'), settle every bucket, and shift[b] moves a draw of bucket b
+    to its index in `flat`, the pair tables joined.  Each is joined from
+    the hits of B_k (positions 0..h_k - span) and the seam tables of its
+    gaps (`_seam_tables`), while `flat` stays within _PAIRS bytes (the
+    cap, if higher).  `read` takes the draws of a bucket whose pair has no
+    table, and every draw where span - 1 > h_k or the gaps fill the level."""
+    h = dag._heights[k]
+    index = None if span - 1 > h else _buckets(dag, n, k)
+    if index is None:
+        return lambda los: sum(map(read, repeat(n), los))
+    gaps, starts, idx = index
+    seams = {g: memoryview(t) for g, t in _seam_tables(dag, k, span, gaps, table).items()}
+    inner = table(dag._extract(k, 0, h))[:h - span + 1]
+    gaps.append(gaps[-1])  # the last copy's next gap, never read: its own
+    at, parts, size = {}, [], 0  # pair -> its table's offset in `flat`, or None
+    for g, g2 in sorted(set(zip(gaps, islice(gaps, 1, None)))):
+        at[g, g2] = None
+        if g in seams and g2 in seams and size + 2 * h + g <= max(dag.cap, _PAIRS):
+            at[g, g2] = size
+            parts += inner, seams[g][:span - 1 + g], inner, seams[g2][:span - 1]
+            size += 2 * h + g
+    flat, lost = b"".join(parts), None in at.values()
+    offsets = map(at.__getitem__, zip(_get(gaps, idx), _get(gaps, map(add, idx, repeat(1)))))
+    if not lost:
+        shift = list(map(sub, offsets, _get(starts, idx)))
+        return lambda los: sum(_get(flat, map(add, los, _get(shift, map(floordiv, los, repeat(h))))))
+    shift = [None if a is None else a - c for a, c in zip(offsets, _get(starts, idx))]
+    return lambda los: sum(flat[lo + s] if (s := shift[lo // h]) is not None else read(n, lo)
+                           for lo in los)
+
+
 def _runs(cuts):
-    """Stages per flat level, from the cuts of the stages above the prefix
+    """Stages per flat level, from the cuts of the stages above the floor
     block, both top first: the fewest levels of at most _FLAT copies (a
     stage with more is a level alone), each closed once it holds the L-th
     root of all the copies, so they come out even.  Chacon's 20 stages above
@@ -217,7 +277,8 @@ class BlockDag:
     offsets: `_locate` descends a stage by one bisection while its range
     stays inside one piece, and `segments` splits a range into pieces.
     `_extract` reads a range where `_locate` leaves it, and `_sampled_hits`
-    settles a sampled correlation's draws through tables over the layout.
+    settles a sampled correlation's draws through bucket indexes over flat
+    levels of the layout, seam tables above and pair tables at the lowest.
     Counts read the spacer rows alone, through one seam walker: `_seams` joins
     each stage's row, its pieces cut down to their edges, into one seam string,
     and both `_count` (words, word pairs) and `window_counts` (all windows of
@@ -360,32 +421,43 @@ class BlockDag:
         span inside B_stage.
 
         The draws are settled _CHUNK at a time through tables built on each
-        call.  The stages from B_stage down to the prefix block B_m fold into
+        call.  The stages from B_stage down to a floor block B_f fold into
         flat levels of at most _FLAT copies of a lower block (more when one
         stage has more; `_runs`), each copy followed by its gap, its run of
-        "1"s.  At each level (`_level`) a bucket index finds each draw's copy;
-        a draw whose span leaves the copy is read from the hit table of that
-        gap's seam, and the others descend into the copy.  One hit table over
-        B_m (B_stage, when no deeper) settles the draws that reach the bottom.
-        Only draws no table covers take one `_locate` descent each (`_reader`):
-        every draw reaching a level whose lower block is shorter than the span,
-        the seam draws of a gap whose table would pass the cap, and every draw
-        of a level that spacer runs fill half of."""
+        "1"s, and a bucket index finds each draw's copy (`_buckets`).  B_f is
+        the prefix block B_m, or the shallowest block past it that holds
+        span - 1 symbols when that one fits under the cap.  At each upper
+        level (`_level`) a draw whose span leaves its copy is read from the
+        hit table of that gap's seam, and the others descend into the copy.
+        At the lowest level (`_pairs`) each draw is read from one table over
+        two copies of B_f and the gaps after them; when B_stage is no deeper
+        than B_f, from one hit table over B_stage.  Only draws no table covers
+        take one `_locate` descent each (`_reader`): every draw reaching a
+        level whose lower block is too short for the span (possible only when
+        B_f is B_m), the draws whose seam tables would pass the cap, and
+        every draw of a level that spacer runs fill half of."""
         span = max(len(w1), lag + len(w2))
         read = _reader(self, w1, w2, lag, span)
         m = self._heights.index(len(self._prefix))
         table = partial(_hit_table, w1=w1, w2=w2, lag=lag)
+        f = next((j for j in range(m, stage) if self._heights[j] >= span - 1), stage)
+        floor = f if f <= m or self._heights[f] <= self.cap else m
         levels, n = [], stage
-        for stages in _runs([len(self._layout[j][1]) for j in range(stage, m, -1)]):
-            levels.append(_level(self, n, n - stages, span, table, read))
+        for stages in _runs([len(self._layout[j][1]) for j in range(stage, floor, -1)]):
+            levels.append((n, n - stages))
             n -= stages
-        bottom = _hit_table(self._prefix[:self._heights[min(stage, m)]], w1, w2, lag)
+        upper = [_level(self, n, k, span, table, read) for n, k in levels[:-1]]
+        if levels:
+            settle = _pairs(self, *levels[-1], span, table, read)
+        else:
+            bottom = table(self._extract(stage, 0, self._heights[stage]))
+            settle = lambda los: sum(_get(bottom, los))
         hits = 0
         while los := list(islice(draws, _CHUNK)):
-            for settle in levels:
-                los, seam_hits = settle(los)
+            for level in upper:
+                los, seam_hits = level(los)
                 hits += seam_hits
-            hits += sum(_get(bottom, los))
+            hits += settle(los)
         return hits
 
     def symbol_at(self, n, i):

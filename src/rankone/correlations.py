@@ -69,9 +69,11 @@ def correlation(dag, w1, w2, lag, stage, method="exact", sample_budget=None, see
     """Joint frequency of (w1 at i, w2 at i + lag) over one block."""
     _check_word(w1)
     _check_word(w2)
+    if lag < 0:
+        raise InputError("the lag must be >= 0")
     span = max(len(w1), lag + len(w2))
     valid = dag.height(stage) - span + 1
-    if lag < 0 or valid < 1:
+    if valid < 1:
         raise RangeError(f"lag {lag} leaves no valid positions in stage {stage}")
     if method == "exact":
         hits = dag._count(w1, w2, lag, stage, capped=True)

@@ -630,6 +630,7 @@ MALFORMED_MESSAGES = {
     "katok-not-half-spacered": "needs the half-spacered family",
     "correlate-negative-seed": "seed must be >= 0",
     "katok-negative-seed": "seed must be >= 0",
+    "correlate-negative-lag": "the lag must be >= 0",
     "profile-range-reversed": "empty search range [9, 4]",
     "profile-default-range-empty": "needs a construction of depth >= 16, not 10",
     "certify-prefix-too-short": "4 stages left and 7 right needs a construction of depth >= 12",
@@ -711,6 +712,9 @@ MALFORMED_MESSAGES = {
          "--lag", "40", "--method", "sampled", "--samples", "10", "--seed", "-1"],
         ["katok", "--config", "katok:depth=4", "--alpha", "1/2", "-n", "1", "--ell", "2",
          "--samples", "10", "--seed", "-1"],
+        # a negative lag is refused as such, not as a lag too long for the stage
+        ["correlate", "--config", "chacon:depth=30", "--stage", "15", "--w1", "0", "--w2", "0",
+         "--lag", "-1", "--method", "sampled", "--samples", "10", "--seed", "1"],
         ["profile", "--config", "chacon:depth=30", "--range", "9", "4"],
         # no range given: the default (left + 1, depth - right) is empty below depth
         # left + right + 1, and the message names that depth
@@ -752,7 +756,7 @@ MALFORMED_MESSAGES = {
          "correlate-exact-samples", "sarnak-N-0", "suspend-N-0", "primepair-N-negative",
          "cylinders-empty-second", "sarnak-splice-offset", "sarnak-center-and-value",
          "katok-not-half-spacered", "correlate-negative-seed", "katok-negative-seed",
-         "profile-range-reversed", "profile-default-range-empty", "certify-prefix-too-short",
+         "correlate-negative-lag", "profile-range-reversed", "profile-default-range-empty", "certify-prefix-too-short",
          "pj-prefix-too-short", "certify-katok-default-depth", "pj-depth-past-prefix",
          "profile-window-past-prefix", "katok-scan-stage-too-shallow", "classify-max-order-1",
          "eigen-max-order-1", "katok-default-depth-26", "katok-huge-cut",

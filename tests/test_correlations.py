@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from unittest.mock import patch
 
@@ -194,10 +195,12 @@ def _sampled_counting_reads(dag, w1, w2, lag, stage, samples, seed):
         (ONES_RUNS, {}, 22, "111", "1111", 3, 7, 3000, 6, "spacer"),
         (SPACER_FILLED, {}, 1, "1", "1", 0, 7, 2000, 8, "spacer"),
         (chacon(45), {}, PREFIX_LIMIT, "0", "0", 40, 46, 2000, 3, "prefix"),
+        (chacon(30), {"cap": 200_000}, PREFIX_LIMIT, "0", "01", 100_000, 31, 500, 7, "straddle"),
     ],
     ids=["inside-prefix", "inside-spacer-run", "katok-lag-26", "span-longer-than-prefix",
          "lag-0-longer-w2", "beyond-cap", "block-is-prefix", "gap-too-long",
-         "all-ones-in-long-runs", "spacers-fill-the-level", "offsets-past-2**63"],
+         "all-ones-in-long-runs", "spacers-fill-the-level", "offsets-past-2**63",
+         "span-block-past-cap"],
 )
 def test_sampler_matches_per_sample_reference(request, params, dag_kwargs, limit, w1, w2, lag,
                                               stage, samples, seed, branch):
@@ -205,8 +208,10 @@ def test_sampler_matches_per_sample_reference(request, params, dag_kwargs, limit
         dag = BlockDag(params, **dag_kwargs)
     span = max(len(w1), lag + len(w2))
     case = request.node.callspec.id
-    if case == "span-longer-than-prefix":
+    if case in ("span-longer-than-prefix", "span-block-past-cap"):
         assert span > len(dag._prefix)
+    if case == "span-block-past-cap":  # B_12, the first block holding span - 1 symbols
+        assert dag.height(11) < span - 1 <= dag.cap < dag.height(12)
     if case == "block-is-prefix":
         assert dag.height(stage) == len(dag._prefix)
     if case == "beyond-cap":
@@ -222,7 +227,7 @@ def test_sampler_matches_per_sample_reference(request, params, dag_kwargs, limit
             value, reads = _sampled_counting_reads(dag, w1, w2, lag, stage, samples, seed)
         assert value == expected, setting
         # draws the tables cannot settle, and only those, are read one by one
-        if case == "span-longer-than-prefix":  # read from the first level the span outgrows
+        if case == "span-block-past-cap":  # read from the first level the span outgrows
             assert 0 < reads <= samples
         elif case == "gap-too-long":
             assert 0 < reads < samples
@@ -253,6 +258,61 @@ def test_seam_tables_stay_under_the_cap():
         assert value == _sampled_reference(dag, "0", "0", 3, 3, 3000, 9)
         assert sum(texts[:-1]) <= cap  # the last is the prefix block's table
     assert reads[51] > 0 and reads[52] == 0
+
+
+# rows (0, 1, 5, 2) at every stage: the gaps of B_2's 64 copies in B_5 take
+# the row's values and their sums at block ends, and (gap, next gap) pairs 15
+MANY_PAIRS = ConstructionParams((4,) * 4, ((0, 1, 5, 2),) * 4)
+
+
+def test_pairs_past_the_cap_are_read():
+    # a cap of 10 builds the seam strings (2 + gap symbols at a span of 2) of
+    # gaps 0, 1 and 2 alone, so the pairs with a longer gap are left to the
+    # per-sample read, under every flat-level setting
+    with patch.object(blocks, "PREFIX_LIMIT", 12):
+        dag = BlockDag(MANY_PAIRS, cap=10)
+    dag.height(5)  # builds the layout the bucket index reads
+    gaps = blocks._buckets(dag, 5, 2)[0]
+    assert len(set(zip(gaps, gaps[1:]))) == 15
+    expected = _sampled_reference(dag, "0", "0", 1, 5, 3000, 5)
+    for setting in SETTINGS:
+        with patch.multiple(blocks, **setting):
+            value, reads = _sampled_counting_reads(dag, "0", "0", 1, 5, 3000, 5)
+        assert value == expected and 0 < reads < 3000, setting
+
+
+def test_pair_tables_stay_under_their_budget():
+    # 2048 copies of a 2^16-symbol prefix block, followed by distinct spacer
+    # runs 0..2047: every seam string fits under the default cap, but the
+    # 2048 pair tables of 2^17 bytes and more would take 268 MB; the lowest
+    # level holds _PAIRS bytes of them and reads the rest
+    params = ConstructionParams((2,) * 16 + (2048, 2),
+                                ((0, 0),) * 16 + (tuple(range(2048)), (0, 0)))
+    dag = BlockDag(params)
+    assert len(dag._prefix) == 2**16
+    tracemalloc.start()
+    try:
+        value, reads = _sampled_counting_reads(dag, "0", "0", 5, 18, 2000, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < blocks._PAIRS + (8 << 20)
+    assert 0 < reads < 2000
+    assert value == _sampled_reference(dag, "0", "0", 5, 18, 2000, 1)
+
+
+def test_katok_sampler_memory():
+    # one katok stage-3 call at 1e5 draws: the bucket index over 10^4 copies
+    # of B_2 and its shifts, and tables over 150-symbol blocks, no more
+    dag = BlockDag(katok(cuts=(100, 10000)))
+    dag.height(3)
+    tracemalloc.start()
+    try:
+        correlation(dag, "0", "1", 26, 3, method="sampled", sample_budget=100_000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 2**20
 
 
 def test_sampler_matches_reference_on_random_constructions(rng):
